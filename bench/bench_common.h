@@ -1,7 +1,12 @@
 #ifndef VERITAS_BENCH_BENCH_COMMON_H_
 #define VERITAS_BENCH_BENCH_COMMON_H_
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -16,7 +21,7 @@ namespace bench {
 
 /// Command-line knobs shared by all bench binaries.
 ///
-///   --scale=<f>   multiply the default corpus scales by f
+///   --scale=<f>   multiply the default corpus scales by f (> 0)
 ///   --full        paper-scale corpora (slow; documented in EXPERIMENTS.md)
 ///   --runs=<n>    repetitions where applicable
 ///   --seed=<n>    base RNG seed
@@ -27,20 +32,76 @@ struct BenchArgs {
   uint64_t seed = 42;
 };
 
-inline BenchArgs ParseBenchArgs(int argc, char** argv) {
+/// A flag one bench binary adds to the shared set: "--name" (a switch,
+/// `apply` receives "") or "--name=" (valued, `apply` receives the text
+/// after '='). `apply` returns false when the value is malformed.
+struct BenchFlag {
+  std::string name;
+  std::function<bool(const std::string&)> apply;
+};
+
+/// Whole-string decimal parses: no sign, no trailing text, no overflow.
+inline bool ParseUnsignedArg(const std::string& text, uint64_t* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  *out = value;
+  return true;
+}
+
+inline bool ParseDoubleArg(const std::string& text, double* out) {
+  if (text.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
+/// Parses the shared flags plus `extra`. A malformed value or an unknown
+/// flag prints a usage message and exits with status 2.
+inline BenchArgs ParseBenchArgs(int argc, char** argv,
+                                const std::vector<BenchFlag>& extra = {}) {
   BenchArgs args;
+  uint64_t runs = args.runs;
+  std::vector<BenchFlag> flags = {
+      {"--scale=",
+       [&](const std::string& v) {
+         return ParseDoubleArg(v, &args.scale) && args.scale > 0.0;
+       }},
+      {"--full", [&](const std::string&) { return args.full = true; }},
+      {"--runs=", [&](const std::string& v) { return ParseUnsignedArg(v, &runs); }},
+      {"--seed=",
+       [&](const std::string& v) { return ParseUnsignedArg(v, &args.seed); }},
+  };
+  flags.insert(flags.end(), extra.begin(), extra.end());
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      args.scale = std::stod(arg.substr(8));
-    } else if (arg == "--full") {
-      args.full = true;
-    } else if (arg.rfind("--runs=", 0) == 0) {
-      args.runs = static_cast<size_t>(std::stoul(arg.substr(7)));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      args.seed = static_cast<uint64_t>(std::stoull(arg.substr(7)));
+    bool accepted = false;
+    for (const BenchFlag& flag : flags) {
+      const bool valued = flag.name.back() == '=';
+      if (valued ? arg.rfind(flag.name, 0) == 0 : arg == flag.name) {
+        accepted = flag.apply(valued ? arg.substr(flag.name.size()) : "");
+        break;
+      }
+    }
+    if (!accepted) {
+      std::cerr << argv[0] << ": bad argument '" << arg << "'\nusage: "
+                << argv[0];
+      for (const BenchFlag& flag : flags) {
+        std::cerr << " [" << flag.name
+                  << (flag.name.back() == '=' ? "<value>" : "") << "]";
+      }
+      std::cerr << "\n";
+      std::exit(2);
     }
   }
+  args.runs = static_cast<size_t>(runs);
   return args;
 }
 

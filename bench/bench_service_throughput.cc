@@ -692,21 +692,23 @@ int RunFleetMode(const EmulatedCorpus& corpus, double latency_ms,
 }
 
 int Main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv);
   WorkloadSpec work;
   bool socket_mode = false;
   bool fleet_mode = false;
   bool metrics_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--latency=", 0) == 0) work.latency_ms = std::stod(arg.substr(10));
-    if (arg.rfind("--steps=", 0) == 0) {
-      work.steps_per_batch_session = static_cast<size_t>(std::stoul(arg.substr(8)));
-    }
-    if (arg == "--socket") socket_mode = true;
-    if (arg == "--fleet") fleet_mode = true;
-    if (arg == "--metrics-overhead") metrics_mode = true;
-  }
+  uint64_t steps = work.steps_per_batch_session;
+  const auto set = [](bool* mode) {
+    return [mode](const std::string&) { return *mode = true; };
+  };
+  const BenchArgs args = ParseBenchArgs(
+      argc, argv,
+      {{"--latency=",
+        [&](const std::string& v) { return ParseDoubleArg(v, &work.latency_ms); }},
+       {"--steps=", [&](const std::string& v) { return ParseUnsignedArg(v, &steps); }},
+       {"--socket", set(&socket_mode)},
+       {"--fleet", set(&fleet_mode)},
+       {"--metrics-overhead", set(&metrics_mode)}});
+  work.steps_per_batch_session = static_cast<size_t>(steps);
 
   // A small corpus per session: the service regime is many light sessions,
   // not one heavy batch job.

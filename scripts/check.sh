@@ -24,7 +24,11 @@
 # crf/ and core/ suites — the ones exercising the HypotheticalEngine
 # scratch-buffer pooling, the CSR adjacency and the pluggable solver
 # backends' sub-MRF extraction (crf_solver_test) — so buffer reuse stays
-# leak- and UB-clean.
+# leak- and UB-clean, plus every decoder of untrusted bytes: the JSON
+# parser and wire codec (api_json_test, api_codec_roundtrip_test), the
+# field-list archives with their every-byte truncation sweep
+# (api_serialization_test), the checkpoint reader (service_checkpoint_test)
+# and the TSV/binary readers (data_io_test).
 #
 # TSAN=1 builds with ThreadSanitizer and runs the service/, api/, obs/ and
 # crf/ suites — the ones exercising the SessionManager's per-session
@@ -301,7 +305,12 @@ if [[ "${ASAN:-0}" == "1" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$build_dir" -j "$(nproc)"
   status=0
-  for suite in "$build_dir"/tests/crf_*_test "$build_dir"/tests/core_*_test; do
+  for suite in "$build_dir"/tests/crf_*_test "$build_dir"/tests/core_*_test \
+               "$build_dir"/tests/api_codec_roundtrip_test \
+               "$build_dir"/tests/api_json_test \
+               "$build_dir"/tests/api_serialization_test \
+               "$build_dir"/tests/service_checkpoint_test \
+               "$build_dir"/tests/data_io_test; do
     echo "== ${suite##*/}"
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 "$suite" \
       --gtest_brief=1 || status=1

@@ -23,7 +23,7 @@ if [[ ! -f "$build_dir/compile_commands.json" ]]; then
 fi
 cmake --build "$build_dir" -j "$(nproc)" --target veritas-lint > /dev/null
 
-echo "== veritas-lint (field-coverage, determinism, wire-compat)"
+echo "== veritas-lint (determinism, wire-compat)"
 "$build_dir"/tools/lint/veritas-lint \
   --repo "$repo_root" \
   --compile-commands "$build_dir/compile_commands.json"

@@ -49,35 +49,35 @@ const char* ApiMethodName(ApiMethod method);
 
 /// Opens a session: the full fact database travels with the request — the
 /// client owns its corpus; the service owns nothing between sessions.
-struct CreateSessionRequest {  // lint: wire-only
+struct CreateSessionRequest {
   FactDatabase db;
   SessionSpec spec;
 };
 
 /// One unit of service work (Session::Advance over the wire).
-struct AdvanceRequest {  // lint: wire-only
+struct AdvanceRequest {
   SessionId session = 0;
 };
 
 /// External verdicts for a pending plan (Session::Answer over the wire).
-struct AnswerRequest {  // lint: wire-only
+struct AnswerRequest {
   SessionId session = 0;
   StepAnswers answers;
 };
 
 /// Current grounding + posterior snapshot.
-struct GroundRequest {  // lint: wire-only
+struct GroundRequest {
   SessionId session = 0;
 };
 
 /// Persists the session to a server-side checkpoint directory.
-struct CheckpointRequest {  // lint: wire-only
+struct CheckpointRequest {
   SessionId session = 0;
   std::string directory;
 };
 
 /// Revives a server-side checkpoint as a new session.
-struct RestoreRequest {  // lint: wire-only
+struct RestoreRequest {
   std::string directory;
 };
 
@@ -85,7 +85,7 @@ struct RestoreRequest {  // lint: wire-only
 struct StatsRequest {};
 
 /// Finalizes the session and returns its outcome.
-struct TerminateRequest {  // lint: wire-only
+struct TerminateRequest {
   SessionId session = 0;
 };
 
@@ -95,7 +95,7 @@ struct MetricsRequest {};
 
 /// A decoded request envelope. The active alternative of `params` IS the
 /// method; `method()` derives the enumerator from it.
-struct ApiRequest {  // lint: wire-only
+struct ApiRequest {
   uint32_t api_version = kApiVersion;
   /// Client-chosen correlation id, echoed verbatim in the response.
   uint64_t id = 0;
@@ -118,12 +118,12 @@ struct ApiRequest {  // lint: wire-only
 /// The tagged error alternative: the Status a failed operation produced,
 /// flattened to its code + message. api/codec.h reconstitutes the exact
 /// Status on the client, so remote error handling matches in-process.
-struct ErrorResponse {  // lint: wire-only
+struct ErrorResponse {
   StatusCode code = StatusCode::kInternal;
   std::string message;
 };
 
-struct CreateSessionResponse {  // lint: wire-only
+struct CreateSessionResponse {
   SessionId session = 0;
 };
 
@@ -131,21 +131,21 @@ struct CreateSessionResponse {  // lint: wire-only
 /// (IterationRecord and ArrivalStats are already flat scalar/vector
 /// structs). Lossless: the loopback integration test pins bit-identical
 /// IterationRecord traces against in-process Session calls.
-struct StepResponse {  // lint: wire-only
+struct StepResponse {
   StepResult step;
 };
 
-struct GroundResponse {  // lint: wire-only
+struct GroundResponse {
   GroundingView view;
 };
 
 struct CheckpointResponse {};
 
-struct RestoreResponse {  // lint: wire-only
+struct RestoreResponse {
   SessionId session = 0;
 };
 
-struct StatsResponse {  // lint: wire-only
+struct StatsResponse {
   ServiceStats stats;
   std::vector<SessionInfo> sessions;
 };
@@ -153,20 +153,20 @@ struct StatsResponse {  // lint: wire-only
 /// Terminate result: the finalized ValidationOutcome (posterior, grounding,
 /// per-iteration trace and counters), so a wire client needs no session
 /// bookkeeping of its own to recover the complete run.
-struct TerminateResponse {  // lint: wire-only
+struct TerminateResponse {
   ValidationOutcome outcome;
 };
 
 /// The registry snapshot of the serving process — or, through a router,
 /// the bucketwise merge across every live backend plus the router's own
 /// registry (its router-stage trace spans live there).
-struct MetricsResponse {  // lint: wire-only
+struct MetricsResponse {
   MetricsSnapshot snapshot;
 };
 
 /// A decoded response envelope. ErrorResponse is the first alternative:
 /// IsError() is an index check.
-struct ApiResponse {  // lint: wire-only
+struct ApiResponse {
   uint32_t api_version = kApiVersion;
   uint64_t id = 0;  ///< echoes the request id
   /// Echo of the request's trace_id (empty = untraced, omitted on the

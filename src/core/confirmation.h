@@ -23,7 +23,7 @@ namespace veritas {
 /// (radius/cap from the guidance config, seed from the session seed) at
 /// each confirmation pass, so the wire and checkpoint formats carry the
 /// source values instead.
-struct ConfirmationOptions {  // lint: ephemeral
+struct ConfirmationOptions {
   size_t neighborhood_radius = 2;
   size_t neighborhood_cap = 128;
   /// A label is flagged only when the re-inferred probability contradicts it

@@ -337,15 +337,7 @@ class DispatchSolver : public CrfSolver {
 }  // namespace
 
 const char* CrfBackendName(CrfBackend backend) {
-  switch (backend) {
-    case CrfBackend::kAuto: return "auto";
-    case CrfBackend::kGibbs: return "gibbs";
-    case CrfBackend::kChromatic: return "chromatic";
-    case CrfBackend::kExact: return "exact";
-    case CrfBackend::kMeanField: return "mean_field";
-    case CrfBackend::kDispatch: return "dispatch";
-  }
-  return "auto";
+  return kCrfBackendNames[static_cast<size_t>(backend)];
 }
 
 const CrfSolver& SolverFor(CrfBackend backend) {

@@ -55,7 +55,12 @@ enum class CrfBackend {
   kDispatch,   ///< exact where tractable, chromatic sampling elsewhere
 };
 
-/// Canonical wire spelling of a backend (codec, diagnostics, bench tables).
+/// Canonical wire spelling of each backend, indexed by enumerator value
+/// (codec, diagnostics, bench tables).
+inline constexpr const char* kCrfBackendNames[] = {
+    "auto", "gibbs", "chromatic", "exact", "mean_field", "dispatch"};
+
+/// Canonical wire spelling of a backend: kCrfBackendNames[backend].
 const char* CrfBackendName(CrfBackend backend);
 
 /// Capability flags a caller can inspect before dispatching work.

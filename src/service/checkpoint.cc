@@ -36,323 +36,20 @@ const CheckpointMetrics& Metrics() {
   return metrics;
 }
 
-// ---- options ---------------------------------------------------------------
-// Field-by-field framing: the format is defined by the write order below and
-// guarded by kCheckpointVersion. Any layout change bumps the version.
+}  // namespace
 
-void WriteGibbs(BinaryWriter* w, const GibbsOptions& g) {
-  w->U64(g.burn_in);
-  w->U64(g.num_samples);
-  w->U64(g.thin);
-  w->U64(g.num_threads);  // v2: was silently dropped — restores reset to 0
-}
-
-Status ReadGibbs(BinaryReader* r, GibbsOptions* g) {
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->burn_in = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->num_samples = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->thin = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->num_threads = static_cast<size_t>(v);
-  return Status::OK();
-}
-
-void WriteBackend(BinaryWriter* w, CrfBackend backend) {
-  w->U8(static_cast<uint8_t>(backend));
-}
-
-Status ReadBackend(BinaryReader* r, CrfBackend* backend) {
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(CrfBackend::kDispatch)) {
-    return Status::InvalidArgument("checkpoint: bad crf backend");
+size_t CheckpointSizeBytes(const std::string& directory) {
+  std::error_code ec;
+  size_t total = 0;
+  std::filesystem::recursive_directory_iterator it(directory, ec);
+  if (ec) return 0;
+  for (const auto& entry : it) {
+    std::error_code entry_ec;
+    if (!entry.is_regular_file(entry_ec) || entry_ec) continue;
+    const uintmax_t size = entry.file_size(entry_ec);
+    if (!entry_ec) total += static_cast<size_t>(size);
   }
-  *backend = static_cast<CrfBackend>(b);
-  return Status::OK();
-}
-
-void WriteIcrfOptions(BinaryWriter* w, const ICrfOptions& o) {
-  const CrfConfig& c = o.crf;
-  w->F64(c.l2_lambda);
-  w->F64(c.coupling);
-  w->F64(c.prior_weight);
-  w->F64(c.prior_clamp);
-  w->F64(c.labeled_weight);
-  w->F64(c.unlabeled_weight_floor);
-  w->F64(c.unlabeled_confidence_scale);
-  w->F64(c.unlabeled_mass_cap_ratio);
-  w->U64(c.max_pairs_per_source);
-  WriteGibbs(w, o.gibbs);
-  WriteGibbs(w, o.hypothetical_gibbs);
-  const TronOptions& t = o.tron;
-  w->U64(t.max_iterations);
-  w->F64(t.gradient_tolerance);
-  w->F64(t.initial_radius);
-  w->U64(t.cg_max_iterations);
-  w->F64(t.cg_tolerance);
-  w->F64(t.eta0);
-  w->F64(t.eta1);
-  w->F64(t.eta2);
-  w->F64(t.sigma1);
-  w->F64(t.sigma2);
-  w->F64(t.sigma3);
-  w->U64(o.max_em_iterations);
-  w->F64(o.em_tolerance);
-  w->U8(o.fit_weights ? 1 : 0);
-  WriteBackend(w, o.backend);               // v2
-  WriteBackend(w, o.hypothetical_backend);  // v2
-}
-
-Status ReadIcrfOptions(BinaryReader* r, ICrfOptions* o) {
-  CrfConfig& c = o->crf;
-  uint64_t v = 0;
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.l2_lambda));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.coupling));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.prior_weight));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.prior_clamp));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.labeled_weight));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.unlabeled_weight_floor));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.unlabeled_confidence_scale));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.unlabeled_mass_cap_ratio));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  c.max_pairs_per_source = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(ReadGibbs(r, &o->gibbs));
-  VERITAS_RETURN_IF_ERROR(ReadGibbs(r, &o->hypothetical_gibbs));
-  TronOptions& t = o->tron;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t.max_iterations = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.gradient_tolerance));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.initial_radius));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t.cg_max_iterations = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.cg_tolerance));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.eta0));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.eta1));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.eta2));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.sigma1));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.sigma2));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.sigma3));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->max_em_iterations = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->em_tolerance));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  o->fit_weights = b != 0;
-  VERITAS_RETURN_IF_ERROR(ReadBackend(r, &o->backend));
-  VERITAS_RETURN_IF_ERROR(ReadBackend(r, &o->hypothetical_backend));
-  return Status::OK();
-}
-
-void WriteGuidance(BinaryWriter* w, const GuidanceConfig& g) {
-  w->U8(static_cast<uint8_t>(g.variant));
-  w->U64(g.candidate_pool);
-  w->U64(g.neighborhood_radius);
-  w->U64(g.neighborhood_cap);
-  w->U64(g.num_threads);
-  w->U64(g.max_enumeration_claims);
-  w->U64(g.seed);
-  // v2: the fan-out kernel selection and its schedule were silently dropped,
-  // so a restored session could resume with a different guidance kernel than
-  // the one it checkpointed under.
-  w->U8(static_cast<uint8_t>(g.fanout));
-  w->U64(g.fanout_base_sweeps);
-  w->U64(g.fanout_burn_in);
-  w->U64(g.fanout_samples);
-}
-
-Status ReadGuidance(BinaryReader* r, GuidanceConfig* g) {
-  uint8_t b = 0;
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(GuidanceVariant::kParallelPartition)) {
-    return Status::InvalidArgument("checkpoint: bad guidance variant");
-  }
-  g->variant = static_cast<GuidanceVariant>(b);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->candidate_pool = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->neighborhood_radius = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->neighborhood_cap = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->num_threads = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->max_enumeration_claims = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&g->seed));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(FanoutKernel::kBatched)) {
-    return Status::InvalidArgument("checkpoint: bad fanout kernel");
-  }
-  g->fanout = static_cast<FanoutKernel>(b);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->fanout_base_sweeps = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->fanout_burn_in = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->fanout_samples = static_cast<size_t>(v);
-  return Status::OK();
-}
-
-void WriteTermination(BinaryWriter* w, const TerminationOptions& t) {
-  w->U8(t.enable_urr ? 1 : 0);
-  w->F64(t.urr_threshold);
-  w->U64(t.urr_patience);
-  w->U8(t.enable_cng ? 1 : 0);
-  w->F64(t.cng_threshold);
-  w->U64(t.cng_patience);
-  w->U8(t.enable_pre ? 1 : 0);
-  w->U64(t.pre_streak);
-  w->U8(t.enable_pir ? 1 : 0);
-  w->F64(t.pir_threshold);
-  w->U64(t.pir_folds);
-  w->U64(t.pir_interval);
-  w->U64(t.pir_patience);
-}
-
-Status ReadTermination(BinaryReader* r, TerminationOptions* t) {
-  uint8_t b = 0;
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  t->enable_urr = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&t->urr_threshold));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->urr_patience = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  t->enable_cng = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&t->cng_threshold));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->cng_patience = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  t->enable_pre = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->pre_streak = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  t->enable_pir = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&t->pir_threshold));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->pir_folds = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->pir_interval = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->pir_patience = static_cast<size_t>(v);
-  return Status::OK();
-}
-
-void WriteValidationOptions(BinaryWriter* w, const ValidationOptions& o) {
-  WriteIcrfOptions(w, o.icrf);
-  WriteGuidance(w, o.guidance);
-  w->U8(static_cast<uint8_t>(o.strategy));
-  w->U64(o.budget);
-  w->F64(o.target_precision);
-  w->U64(o.batch_size);
-  w->F64(o.batch_benefit_weight);
-  w->U64(o.confirmation_interval);
-  WriteTermination(w, o.termination);
-  w->U8(o.exact_entropy_trace ? 1 : 0);
-  w->U64(o.seed);
-}
-
-Status ReadValidationOptions(BinaryReader* r, ValidationOptions* o) {
-  VERITAS_RETURN_IF_ERROR(ReadIcrfOptions(r, &o->icrf));
-  VERITAS_RETURN_IF_ERROR(ReadGuidance(r, &o->guidance));
-  uint8_t b = 0;
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(StrategyKind::kHybrid)) {
-    return Status::InvalidArgument("checkpoint: bad strategy kind");
-  }
-  o->strategy = static_cast<StrategyKind>(b);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->budget = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->target_precision));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->batch_size = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->batch_benefit_weight));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->confirmation_interval = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(ReadTermination(r, &o->termination));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  o->exact_entropy_trace = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&o->seed));
-  return Status::OK();
-}
-
-void WriteStreamingOptions(BinaryWriter* w, const StreamingOptions& o) {
-  WriteIcrfOptions(w, o.icrf);
-  w->F64(o.step_a);
-  w->F64(o.step_t0);
-  w->F64(o.step_kappa);
-  w->U64(o.window_cap);
-  w->U64(o.tron_iterations_per_arrival);
-  w->U64(o.seed);
-}
-
-Status ReadStreamingOptions(BinaryReader* r, StreamingOptions* o) {
-  VERITAS_RETURN_IF_ERROR(ReadIcrfOptions(r, &o->icrf));
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->step_a));
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->step_t0));
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->step_kappa));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->window_cap = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->tron_iterations_per_arrival = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&o->seed));
-  return Status::OK();
-}
-
-void WriteSpec(BinaryWriter* w, const SessionSpec& spec) {
-  w->U8(static_cast<uint8_t>(spec.mode));
-  w->U8(static_cast<uint8_t>(spec.user.kind));
-  w->F64(spec.user.rate);
-  w->U64(spec.user.seed);
-  w->F64(spec.user.latency_ms);
-  w->U64(spec.streaming_label_interval);
-  WriteValidationOptions(w, spec.validation);
-  WriteStreamingOptions(w, spec.streaming);
-}
-
-Status ReadSpec(BinaryReader* r, SessionSpec* spec) {
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(SessionMode::kStreaming)) {
-    return Status::InvalidArgument("checkpoint: bad session mode");
-  }
-  spec->mode = static_cast<SessionMode>(b);
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(UserSpec::Kind::kSkipping)) {
-    return Status::InvalidArgument("checkpoint: bad user kind");
-  }
-  spec->user.kind = static_cast<UserSpec::Kind>(b);
-  VERITAS_RETURN_IF_ERROR(r->F64(&spec->user.rate));
-  VERITAS_RETURN_IF_ERROR(r->U64(&spec->user.seed));
-  VERITAS_RETURN_IF_ERROR(r->F64(&spec->user.latency_ms));
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  spec->streaming_label_interval = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(ReadValidationOptions(r, &spec->validation));
-  VERITAS_RETURN_IF_ERROR(ReadStreamingOptions(r, &spec->streaming));
-  return Status::OK();
-}
-
-// ---- state pieces ----------------------------------------------------------
-
-void WriteRng(BinaryWriter* w, const RngState& rng) {
-  for (int i = 0; i < 4; ++i) w->U64(rng.s[i]);
-  w->U8(rng.has_cached_normal ? 1 : 0);
-  w->F64(rng.cached_normal);
-}
-
-Status ReadRng(BinaryReader* r, RngState* rng) {
-  for (int i = 0; i < 4; ++i) VERITAS_RETURN_IF_ERROR(r->U64(&rng->s[i]));
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  rng->has_cached_normal = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&rng->cached_normal));
-  return Status::OK();
+  return total;
 }
 
 void WriteBelief(BinaryWriter* w, const BeliefState& state) {
@@ -391,170 +88,6 @@ Status ReadBelief(BinaryReader* r, BeliefState* state) {
   return Status::OK();
 }
 
-void WriteRecord(BinaryWriter* w, const IterationRecord& rec) {
-  w->U64(rec.iteration);
-  w->VecU32(rec.claims);
-  w->VecU8(rec.answers);
-  w->F64(rec.seconds);
-  w->F64(rec.entropy);
-  w->F64(rec.precision);
-  w->F64(rec.effort);
-  w->F64(rec.error_rate);
-  w->F64(rec.z_score);
-  w->F64(rec.unreliable_ratio);
-  w->U64(rec.repairs);
-  w->U64(rec.skips);
-  w->VecU32(rec.flagged);
-  w->U8(rec.prediction_matched ? 1 : 0);
-  w->F64(rec.urr);
-  w->F64(rec.cng);
-  w->U64(rec.pre_streak);
-  w->F64(rec.pir);
-}
-
-Status ReadRecord(BinaryReader* r, IterationRecord* rec) {
-  uint64_t v = 0;
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  rec->iteration = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->VecU32(&rec->claims));
-  VERITAS_RETURN_IF_ERROR(r->VecU8(&rec->answers));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->seconds));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->entropy));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->precision));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->effort));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->error_rate));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->z_score));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->unreliable_ratio));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  rec->repairs = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  rec->skips = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->VecU32(&rec->flagged));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  rec->prediction_matched = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->urr));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->cng));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  rec->pre_streak = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->pir));
-  return Status::OK();
-}
-
-void WriteOutcome(BinaryWriter* w, const ValidationOutcome& outcome) {
-  WriteBelief(w, outcome.state);
-  w->VecU8(outcome.grounding);
-  w->U64(outcome.trace.size());
-  for (const IterationRecord& rec : outcome.trace) WriteRecord(w, rec);
-  w->U64(outcome.validations);
-  w->U64(outcome.mistakes_made);
-  w->U64(outcome.mistakes_detected);
-  w->U64(outcome.mistakes_repaired);
-  w->Str(outcome.stop_reason);
-  w->F64(outcome.initial_precision);
-  w->F64(outcome.final_precision);
-}
-
-Status ReadOutcome(BinaryReader* r, ValidationOutcome* outcome) {
-  VERITAS_RETURN_IF_ERROR(ReadBelief(r, &outcome->state));
-  VERITAS_RETURN_IF_ERROR(r->VecU8(&outcome->grounding));
-  uint64_t count = 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&count));
-  // Each record occupies well over 8 bytes; this bound rejects corrupt
-  // counts before the resize below can balloon.
-  if (count > r->remaining() / 8) {
-    return Status::OutOfRange("checkpoint: truncated trace");
-  }
-  outcome->trace.resize(static_cast<size_t>(count));
-  for (auto& rec : outcome->trace) VERITAS_RETURN_IF_ERROR(ReadRecord(r, &rec));
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  outcome->validations = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  outcome->mistakes_made = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  outcome->mistakes_detected = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  outcome->mistakes_repaired = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->Str(&outcome->stop_reason));
-  VERITAS_RETURN_IF_ERROR(r->F64(&outcome->initial_precision));
-  VERITAS_RETURN_IF_ERROR(r->F64(&outcome->final_precision));
-  return Status::OK();
-}
-
-void WriteValidationState(BinaryWriter* w, const ValidationSessionState& s) {
-  w->U8(s.initialized ? 1 : 0);
-  w->U64(s.iteration);
-  w->F64(s.last_error_rate);
-  w->U64(s.validations_since_confirmation);
-  w->VecU32(s.confirmed_labels);
-  w->F64(s.hybrid_z);
-  w->F64(s.monitor.previous_entropy);
-  w->F64(s.monitor.last_urr);
-  w->U64(s.monitor.urr_calm_rounds);
-  w->F64(s.monitor.last_cng_rate);
-  w->U64(s.monitor.cng_calm_rounds);
-  w->U64(s.monitor.prediction_streak);
-  w->F64(s.monitor.previous_cv_precision);
-  w->F64(s.monitor.last_pir);
-  w->U8(s.monitor.pir_available ? 1 : 0);
-  w->U64(s.monitor.pir_calm_rounds);
-  WriteBelief(w, s.state);
-  w->VecU8(s.grounding);
-  WriteOutcome(w, s.outcome);
-  WriteRng(w, s.icrf_rng);
-  w->U8(s.has_strategy_rng ? 1 : 0);
-  WriteRng(w, s.strategy_rng);
-  w->VecF64(s.weights);
-}
-
-Status ReadValidationState(BinaryReader* r, ValidationSessionState* s) {
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  s->initialized = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->iteration));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->last_error_rate));
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->validations_since_confirmation));
-  VERITAS_RETURN_IF_ERROR(r->VecU32(&s->confirmed_labels));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->hybrid_z));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->monitor.previous_entropy));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->monitor.last_urr));
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->monitor.urr_calm_rounds));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->monitor.last_cng_rate));
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->monitor.cng_calm_rounds));
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->monitor.prediction_streak));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->monitor.previous_cv_precision));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->monitor.last_pir));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  s->monitor.pir_available = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->monitor.pir_calm_rounds));
-  VERITAS_RETURN_IF_ERROR(ReadBelief(r, &s->state));
-  VERITAS_RETURN_IF_ERROR(r->VecU8(&s->grounding));
-  VERITAS_RETURN_IF_ERROR(ReadOutcome(r, &s->outcome));
-  VERITAS_RETURN_IF_ERROR(ReadRng(r, &s->icrf_rng));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  s->has_strategy_rng = b != 0;
-  VERITAS_RETURN_IF_ERROR(ReadRng(r, &s->strategy_rng));
-  VERITAS_RETURN_IF_ERROR(r->VecF64(&s->weights));
-  return Status::OK();
-}
-
-}  // namespace
-
-size_t CheckpointSizeBytes(const std::string& directory) {
-  std::error_code ec;
-  size_t total = 0;
-  std::filesystem::recursive_directory_iterator it(directory, ec);
-  if (ec) return 0;
-  for (const auto& entry : it) {
-    std::error_code entry_ec;
-    if (!entry.is_regular_file(entry_ec) || entry_ec) continue;
-    const uintmax_t size = entry.file_size(entry_ec);
-    if (!entry_ec) total += static_cast<size_t>(size);
-  }
-  return total;
-}
-
 Status SaveSessionCheckpoint(const Session& session,
                              const std::string& directory) {
   ScopedLatencyTimer timer(Metrics().save_seconds);
@@ -567,40 +100,33 @@ Status SaveSessionCheckpoint(const Session& session,
   BinaryWriter w;
   for (const uint8_t m : kMagic) w.U8(m);
   w.U32(kCheckpointVersion);
-  WriteSpec(&w, session.spec_);
+  BinaryOut out(&w);
+  out.Value(session.spec_);
 
   if (session.spec_.mode == SessionMode::kBatch) {
     VERITAS_RETURN_IF_ERROR(SaveFactDatabase(*session.db_, directory + "/db"));
-    WriteValidationState(&w, session.process_->ExportSessionState());
-    w.U8(session.awaiting_answers_ ? 1 : 0);
-    w.VecU32(session.pending_plan_.candidates);
-    w.U8(session.pending_plan_.batch ? 1 : 0);
+    out.Value(session.process_->ExportSessionState());
+    out.Value(session.awaiting_answers_);
+    out.Value(session.pending_plan_.candidates);
+    out.Value(session.pending_plan_.batch);
   } else {
     VERITAS_RETURN_IF_ERROR(
         SaveFactDatabase(*session.source_corpus_, directory + "/db"));
-    w.U64(session.next_arrival_);
-    w.U8(session.stream_synced_ ? 1 : 0);
-    const StreamingEmState em = session.checker_->ExportEmState();
-    w.U64(em.window.size());
-    for (const StreamingWindowExample& example : em.window) {
-      w.VecF64(example.features);
-      w.F64(example.target);
-      w.F64(example.log_weight);
-    }
-    w.F64(em.log_scale);
-    w.U64(em.arrivals);
-    WriteBelief(&w, session.checker_->state());
-    w.VecF64(session.checker_->weights());
-    WriteRng(&w, session.checker_->icrf()->rng_state());
+    out.Value(session.next_arrival_);
+    out.Value(session.stream_synced_);
+    out.Value(session.checker_->ExportEmState());
+    out.Value(session.checker_->state());
+    out.Value(session.checker_->weights());
+    out.Value(session.checker_->icrf()->rng_state());
   }
 
   // The simulated validator's stream, when it has one.
   Rng* user_rng =
       session.user_ != nullptr ? session.user_->mutable_rng() : nullptr;
-  w.U8(user_rng != nullptr ? 1 : 0);
-  WriteRng(&w, user_rng != nullptr ? user_rng->SaveState() : RngState());
+  out.Value(user_rng != nullptr);
+  out.Value(user_rng != nullptr ? user_rng->SaveState() : RngState());
 
-  w.U64(session.steps_served_);
+  out.Value(session.steps_served_);
   const Status written = w.WriteFile(directory + "/session.bin");
   if (written.ok()) {
     Metrics().saves->Increment();
@@ -631,8 +157,9 @@ Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
         "LoadSessionCheckpoint: unsupported checkpoint version " +
         std::to_string(version));
   }
+  BinaryIn in(&r);
   SessionSpec spec;
-  VERITAS_RETURN_IF_ERROR(ReadSpec(&r, &spec));
+  VERITAS_RETURN_IF_ERROR(in.Value(&spec));
 
   auto db = LoadFactDatabase(directory + "/db");
   if (!db.ok()) return db.status();
@@ -643,43 +170,28 @@ Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
 
   if (spec.mode == SessionMode::kBatch) {
     ValidationSessionState state;
-    VERITAS_RETURN_IF_ERROR(ReadValidationState(&r, &state));
+    VERITAS_RETURN_IF_ERROR(in.Value(&state));
     VERITAS_RETURN_IF_ERROR(session->process_->RestoreSessionState(state));
-    uint8_t b = 0;
-    VERITAS_RETURN_IF_ERROR(r.U8(&b));
-    session->awaiting_answers_ = b != 0;
-    VERITAS_RETURN_IF_ERROR(r.VecU32(&session->pending_plan_.candidates));
-    VERITAS_RETURN_IF_ERROR(r.U8(&b));
-    session->pending_plan_.batch = b != 0;
+    in.Value(&session->awaiting_answers_);
+    in.Value(&session->pending_plan_.candidates);
+    VERITAS_RETURN_IF_ERROR(in.Value(&session->pending_plan_.batch));
   } else {
     uint64_t next_arrival = 0;
-    uint8_t synced = 0;
-    VERITAS_RETURN_IF_ERROR(r.U64(&next_arrival));
-    VERITAS_RETURN_IF_ERROR(r.U8(&synced));
+    bool synced = false;
+    VERITAS_RETURN_IF_ERROR(in.Value(&next_arrival));
+    VERITAS_RETURN_IF_ERROR(in.Value(&synced));
     if (next_arrival > session->source_corpus_->num_claims()) {
       return Status::InvalidArgument(
           "LoadSessionCheckpoint: arrival cursor past the corpus");
     }
     StreamingEmState em;
-    uint64_t window = 0;
-    VERITAS_RETURN_IF_ERROR(r.U64(&window));
-    if (window > r.remaining() / 8) {
-      return Status::OutOfRange("LoadSessionCheckpoint: truncated EM window");
-    }
-    em.window.resize(static_cast<size_t>(window));
-    for (auto& example : em.window) {
-      VERITAS_RETURN_IF_ERROR(r.VecF64(&example.features));
-      VERITAS_RETURN_IF_ERROR(r.F64(&example.target));
-      VERITAS_RETURN_IF_ERROR(r.F64(&example.log_weight));
-    }
-    VERITAS_RETURN_IF_ERROR(r.F64(&em.log_scale));
-    VERITAS_RETURN_IF_ERROR(r.U64(&em.arrivals));
     BeliefState belief;
-    VERITAS_RETURN_IF_ERROR(ReadBelief(&r, &belief));
     std::vector<double> weights;
-    VERITAS_RETURN_IF_ERROR(r.VecF64(&weights));
     RngState icrf_rng;
-    VERITAS_RETURN_IF_ERROR(ReadRng(&r, &icrf_rng));
+    in.Value(&em);
+    in.Value(&belief);
+    in.Value(&weights);
+    VERITAS_RETURN_IF_ERROR(in.Value(&icrf_rng));
     if (belief.num_claims() != next_arrival) {
       return Status::InvalidArgument(
           "LoadSessionCheckpoint: belief state does not match arrivals");
@@ -711,7 +223,7 @@ Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
     session->checker_->SetWeights(weights);
     session->checker_->icrf()->restore_rng_state(icrf_rng);
     session->next_arrival_ = static_cast<size_t>(next_arrival);
-    session->stream_synced_ = synced != 0;
+    session->stream_synced_ = synced;
     if (session->stream_synced_) {
       // Rebind the engine exactly as the pre-checkpoint Sync left it; no
       // inference runs, so the restored RNG stream stays aligned.
@@ -720,16 +232,14 @@ Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
     }
   }
 
-  uint8_t has_user_rng = 0;
-  VERITAS_RETURN_IF_ERROR(r.U8(&has_user_rng));
+  bool has_user_rng = false;
   RngState user_rng;
-  VERITAS_RETURN_IF_ERROR(ReadRng(&r, &user_rng));
-  if (has_user_rng != 0 && session->user_ != nullptr) {
+  in.Value(&has_user_rng);
+  in.Value(&user_rng);
+  VERITAS_RETURN_IF_ERROR(in.Value(&session->steps_served_));
+  if (has_user_rng && session->user_ != nullptr) {
     if (Rng* rng = session->user_->mutable_rng()) rng->RestoreState(user_rng);
   }
-  uint64_t steps = 0;
-  VERITAS_RETURN_IF_ERROR(r.U64(&steps));
-  session->steps_served_ = static_cast<size_t>(steps);
   Metrics().loads->Increment();
   return session;
 }

@@ -2,238 +2,65 @@
 // message encodes to JSON and decodes back FIELD-IDENTICAL — 64-bit seeds,
 // SIZE_MAX budgets, max_digits10 doubles, and free text full of tabs,
 // quotes, newlines and raw control bytes included. Re-encoding the decoded
-// message must reproduce the exact same document (a fixed point), which is
-// what makes the codec's losslessness testable without golden files.
+// message must reproduce the exact same document (a fixed point). Random
+// messages come from the field visitors (testing/field_visitors.h); the
+// exact bytes are pinned by the golden files of serialization_test.cc.
 
 #include "api/codec.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "testing/corpus_fixtures.h"
+#include "testing/field_visitors.h"
 
 namespace veritas {
 namespace {
 
-// ---- randomized message generators -----------------------------------------
+using testing::ExpectFieldsEqual;
+using testing::FillVisitor;
+using testing::NastyText;
 
-std::string NastyText(Rng* rng) {
-  static const char* kPieces[] = {
-      "plain",  "tab\t",    "quote\"", "back\\slash", "new\nline",
-      "ret\r",  "ctrl\x01", "{json}",  "[\"array\"]", "\xc3\xa9\xe2\x82\xac",
-      "a:b,c.", "",
-  };
-  std::string text;
-  const size_t pieces = rng->UniformInt(5);
-  for (size_t i = 0; i < pieces; ++i) {
-    text += kPieces[rng->UniformInt(sizeof(kPieces) / sizeof(kPieces[0]))];
-  }
-  return text;
+template <typename Msg>
+Msg RandomMessage(Rng* rng) {
+  Msg message{};
+  FillVisitor(rng).Fill(&message);
+  return message;
 }
 
-double AnyFinite(Rng* rng) {
-  switch (rng->UniformInt(6)) {
-    case 0: return 0.0;
-    case 1: return -0.0;
-    case 2: return 5e-324;  // smallest denormal
-    case 3: return -1.7976931348623157e308;
-    case 4: return rng->Normal(0.0, 1e9);
-    default: return rng->Uniform(-1.0, 1.0);
-  }
-}
-
-size_t AnySize(Rng* rng) {
-  switch (rng->UniformInt(4)) {
-    case 0: return 0;
-    case 1: return SIZE_MAX;
-    case 2: return static_cast<size_t>(rng->NextU64());
-    default: return rng->UniformInt(1000);
-  }
-}
-
-SessionSpec RandomSpec(Rng* rng) {
-  SessionSpec spec;
-  spec.mode = rng->Bernoulli(0.5) ? SessionMode::kBatch : SessionMode::kStreaming;
-  spec.user.kind = static_cast<UserSpec::Kind>(rng->UniformInt(4));
-  spec.user.rate = AnyFinite(rng);
-  spec.user.seed = rng->NextU64();
-  spec.user.latency_ms = AnyFinite(rng);
-  spec.streaming_label_interval = AnySize(rng);
-  ValidationOptions& v = spec.validation;
-  v.strategy = static_cast<StrategyKind>(rng->UniformInt(5));
-  v.budget = AnySize(rng);
-  v.target_precision = AnyFinite(rng);
-  v.batch_size = AnySize(rng);
-  v.batch_benefit_weight = AnyFinite(rng);
-  v.confirmation_interval = AnySize(rng);
-  v.exact_entropy_trace = rng->Bernoulli(0.5);
-  v.seed = rng->NextU64();
-  v.guidance.variant = static_cast<GuidanceVariant>(rng->UniformInt(3));
-  v.guidance.candidate_pool = AnySize(rng);
-  v.guidance.neighborhood_radius = AnySize(rng);
-  v.guidance.neighborhood_cap = AnySize(rng);
-  v.guidance.num_threads = AnySize(rng);
-  v.guidance.max_enumeration_claims = AnySize(rng);
-  v.guidance.seed = rng->NextU64();
-  v.guidance.fanout = rng->Bernoulli(0.5) ? FanoutKernel::kBatched
-                                          : FanoutKernel::kPerCandidate;
-  v.guidance.fanout_base_sweeps = AnySize(rng);
-  v.guidance.fanout_burn_in = AnySize(rng);
-  v.guidance.fanout_samples = AnySize(rng);
-  v.termination.enable_urr = rng->Bernoulli(0.5);
-  v.termination.urr_threshold = AnyFinite(rng);
-  v.termination.urr_patience = AnySize(rng);
-  v.termination.enable_cng = rng->Bernoulli(0.5);
-  v.termination.cng_threshold = AnyFinite(rng);
-  v.termination.cng_patience = AnySize(rng);
-  v.termination.enable_pre = rng->Bernoulli(0.5);
-  v.termination.pre_streak = AnySize(rng);
-  v.termination.enable_pir = rng->Bernoulli(0.5);
-  v.termination.pir_threshold = AnyFinite(rng);
-  v.termination.pir_folds = AnySize(rng);
-  v.termination.pir_interval = AnySize(rng);
-  v.termination.pir_patience = AnySize(rng);
-  ICrfOptions& icrf = v.icrf;
-  icrf.crf.l2_lambda = AnyFinite(rng);
-  icrf.crf.coupling = AnyFinite(rng);
-  icrf.crf.prior_weight = AnyFinite(rng);
-  icrf.crf.prior_clamp = AnyFinite(rng);
-  icrf.crf.labeled_weight = AnyFinite(rng);
-  icrf.crf.unlabeled_weight_floor = AnyFinite(rng);
-  icrf.crf.unlabeled_confidence_scale = AnyFinite(rng);
-  icrf.crf.unlabeled_mass_cap_ratio = AnyFinite(rng);
-  icrf.crf.max_pairs_per_source = AnySize(rng);
-  icrf.gibbs =
-      GibbsOptions{AnySize(rng), AnySize(rng), AnySize(rng), AnySize(rng)};
-  icrf.hypothetical_gibbs =
-      GibbsOptions{AnySize(rng), AnySize(rng), AnySize(rng), AnySize(rng)};
-  icrf.tron.max_iterations = AnySize(rng);
-  icrf.tron.gradient_tolerance = AnyFinite(rng);
-  icrf.tron.initial_radius = AnyFinite(rng);
-  icrf.tron.cg_max_iterations = AnySize(rng);
-  icrf.tron.cg_tolerance = AnyFinite(rng);
-  icrf.tron.eta0 = AnyFinite(rng);
-  icrf.tron.eta1 = AnyFinite(rng);
-  icrf.tron.eta2 = AnyFinite(rng);
-  icrf.tron.sigma1 = AnyFinite(rng);
-  icrf.tron.sigma2 = AnyFinite(rng);
-  icrf.tron.sigma3 = AnyFinite(rng);
-  icrf.max_em_iterations = AnySize(rng);
-  icrf.em_tolerance = AnyFinite(rng);
-  icrf.fit_weights = rng->Bernoulli(0.5);
-  icrf.backend = static_cast<CrfBackend>(rng->UniformInt(6));
-  icrf.hypothetical_backend = static_cast<CrfBackend>(rng->UniformInt(6));
-  StreamingOptions& s = spec.streaming;
-  s.icrf = icrf;
-  s.step_a = AnyFinite(rng);
-  s.step_t0 = AnyFinite(rng);
-  s.step_kappa = AnyFinite(rng);
-  s.window_cap = AnySize(rng);
-  s.tron_iterations_per_arrival = AnySize(rng);
-  s.seed = rng->NextU64();
-  return spec;
-}
-
-IterationRecord RandomRecord(Rng* rng) {
-  IterationRecord record;
-  record.iteration = AnySize(rng);
-  const size_t n = rng->UniformInt(5);
-  for (size_t i = 0; i < n; ++i) {
-    record.claims.push_back(static_cast<ClaimId>(rng->UniformInt(1000)));
-    record.answers.push_back(rng->Bernoulli(0.5) ? 1 : 0);
-  }
-  record.seconds = AnyFinite(rng);
-  record.entropy = AnyFinite(rng);
-  record.precision = AnyFinite(rng);
-  record.effort = AnyFinite(rng);
-  record.error_rate = AnyFinite(rng);
-  record.z_score = AnyFinite(rng);
-  record.unreliable_ratio = AnyFinite(rng);
-  record.repairs = AnySize(rng);
-  record.skips = AnySize(rng);
-  for (size_t i = 0; i < rng->UniformInt(3); ++i) {
-    record.flagged.push_back(static_cast<ClaimId>(rng->UniformInt(1000)));
-  }
-  record.prediction_matched = rng->Bernoulli(0.5);
-  record.urr = AnyFinite(rng);
-  record.cng = AnyFinite(rng);
-  record.pre_streak = AnySize(rng);
-  record.pir = AnyFinite(rng);
-  return record;
-}
-
-StepResult RandomStep(Rng* rng) {
-  StepResult step;
-  step.done = rng->Bernoulli(0.3);
-  step.stop_reason = NastyText(rng);
-  step.awaiting_answers = rng->Bernoulli(0.5);
-  for (size_t i = 0; i < rng->UniformInt(6); ++i) {
-    step.candidates.push_back(static_cast<ClaimId>(rng->NextU64() & 0xffffffffu));
-  }
-  step.batch = rng->Bernoulli(0.5);
-  step.iteration_completed = rng->Bernoulli(0.5);
-  step.record = RandomRecord(rng);
-  step.arrival_processed = rng->Bernoulli(0.5);
-  step.arrival.claim = static_cast<ClaimId>(rng->UniformInt(100000));
-  step.arrival.update_seconds = AnyFinite(rng);
-  step.arrival.initial_prob = AnyFinite(rng);
-  return step;
-}
-
-// ---- field-equality helpers ------------------------------------------------
-// Doubles compare by bit pattern (== would call -0.0 and 0.0 equal and the
-// point is exactness).
-
-bool BitEqual(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-void ExpectRecordEqual(const IterationRecord& a, const IterationRecord& b) {
-  EXPECT_EQ(a.iteration, b.iteration);
-  EXPECT_EQ(a.claims, b.claims);
-  EXPECT_EQ(a.answers, b.answers);
-  EXPECT_TRUE(BitEqual(a.seconds, b.seconds));
-  EXPECT_TRUE(BitEqual(a.entropy, b.entropy));
-  EXPECT_TRUE(BitEqual(a.precision, b.precision));
-  EXPECT_TRUE(BitEqual(a.effort, b.effort));
-  EXPECT_TRUE(BitEqual(a.error_rate, b.error_rate));
-  EXPECT_TRUE(BitEqual(a.z_score, b.z_score));
-  EXPECT_TRUE(BitEqual(a.unreliable_ratio, b.unreliable_ratio));
-  EXPECT_EQ(a.repairs, b.repairs);
-  EXPECT_EQ(a.skips, b.skips);
-  EXPECT_EQ(a.flagged, b.flagged);
-  EXPECT_EQ(a.prediction_matched, b.prediction_matched);
-  EXPECT_TRUE(BitEqual(a.urr, b.urr));
-  EXPECT_TRUE(BitEqual(a.cng, b.cng));
-  EXPECT_EQ(a.pre_streak, b.pre_streak);
-  EXPECT_TRUE(BitEqual(a.pir, b.pir));
-}
-
-/// Encode -> decode -> re-encode; the two encodings must be byte-equal
-/// (decode(encode(x)) is a fixed point of the codec).
-template <typename Msg, typename Encoder, typename Decoder>
-Msg RoundTrip(const Msg& message, Encoder encode, Decoder decode) {
+/// Encode -> decode -> re-encode through the JSON archives; the two
+/// encodings must be byte-equal (decode(encode(x)) is a fixed point of the
+/// codec) and the decoded message field-identical.
+template <typename Msg>
+Msg RoundTrip(const Msg& message) {
   JsonWriter w1;
-  encode(message, &w1);
+  JsonOut(&w1).Value(message);
   auto text1 = w1.Take();
   EXPECT_TRUE(text1.ok()) << text1.status();
   auto parsed = ParseJson(text1.value());
   EXPECT_TRUE(parsed.ok()) << parsed.status();
-  Msg decoded;
-  const Status status = decode(parsed.value(), &decoded);
+  Msg decoded{};
+  const Status status = JsonIn::Value(parsed.value(), &decoded);
   EXPECT_TRUE(status.ok()) << status;
   JsonWriter w2;
-  encode(decoded, &w2);
+  JsonOut(&w2).Value(decoded);
   auto text2 = w2.Take();
   EXPECT_TRUE(text2.ok());
   EXPECT_EQ(text1.value(), text2.value()) << "codec is not a fixed point";
+  ExpectFieldsEqual(message, decoded);
   return decoded;
+}
+
+/// Decodes a SessionSpec from a JSON document.
+Status DecodeSpec(const std::string& json, SessionSpec* spec) {
+  auto parsed = ParseJson(json);
+  EXPECT_TRUE(parsed.ok()) << json;
+  return JsonIn::Value(parsed.value(), spec);
 }
 
 // ---- the properties --------------------------------------------------------
@@ -241,59 +68,14 @@ Msg RoundTrip(const Msg& message, Encoder encode, Decoder decode) {
 TEST(CodecRoundTripTest, SessionSpecEveryFieldSurvives) {
   Rng rng(101);
   for (int trial = 0; trial < 50; ++trial) {
-    const SessionSpec spec = RandomSpec(&rng);
-    const SessionSpec decoded =
-        RoundTrip(spec, EncodeSessionSpec, DecodeSessionSpec);
-    EXPECT_EQ(decoded.mode, spec.mode);
-    EXPECT_EQ(decoded.user.kind, spec.user.kind);
-    EXPECT_TRUE(BitEqual(decoded.user.rate, spec.user.rate));
-    EXPECT_EQ(decoded.user.seed, spec.user.seed);
-    EXPECT_TRUE(BitEqual(decoded.user.latency_ms, spec.user.latency_ms));
-    EXPECT_EQ(decoded.streaming_label_interval, spec.streaming_label_interval);
-    EXPECT_EQ(decoded.validation.strategy, spec.validation.strategy);
-    EXPECT_EQ(decoded.validation.budget, spec.validation.budget);
-    EXPECT_TRUE(BitEqual(decoded.validation.target_precision,
-                         spec.validation.target_precision));
-    EXPECT_EQ(decoded.validation.batch_size, spec.validation.batch_size);
-    EXPECT_EQ(decoded.validation.confirmation_interval,
-              spec.validation.confirmation_interval);
-    EXPECT_EQ(decoded.validation.guidance.variant,
-              spec.validation.guidance.variant);
-    EXPECT_EQ(decoded.validation.guidance.seed, spec.validation.guidance.seed);
-    EXPECT_EQ(decoded.validation.icrf.crf.max_pairs_per_source,
-              spec.validation.icrf.crf.max_pairs_per_source);
-    EXPECT_EQ(decoded.validation.icrf.backend, spec.validation.icrf.backend);
-    EXPECT_EQ(decoded.validation.icrf.hypothetical_backend,
-              spec.validation.icrf.hypothetical_backend);
-    EXPECT_EQ(decoded.validation.icrf.gibbs.num_threads,
-              spec.validation.icrf.gibbs.num_threads);
-    EXPECT_TRUE(BitEqual(decoded.validation.icrf.tron.sigma3,
-                         spec.validation.icrf.tron.sigma3));
-    EXPECT_EQ(decoded.validation.termination.pir_folds,
-              spec.validation.termination.pir_folds);
-    EXPECT_EQ(decoded.streaming.seed, spec.streaming.seed);
-    EXPECT_TRUE(BitEqual(decoded.streaming.step_kappa, spec.streaming.step_kappa));
-    EXPECT_EQ(decoded.streaming.window_cap, spec.streaming.window_cap);
+    RoundTrip(RandomMessage<SessionSpec>(&rng));
   }
 }
 
 TEST(CodecRoundTripTest, StepResultAndRecordSurvive) {
   Rng rng(202);
   for (int trial = 0; trial < 100; ++trial) {
-    const StepResult step = RandomStep(&rng);
-    const StepResult decoded =
-        RoundTrip(step, EncodeStepResult, DecodeStepResult);
-    EXPECT_EQ(decoded.done, step.done);
-    EXPECT_EQ(decoded.stop_reason, step.stop_reason);
-    EXPECT_EQ(decoded.awaiting_answers, step.awaiting_answers);
-    EXPECT_EQ(decoded.candidates, step.candidates);
-    EXPECT_EQ(decoded.batch, step.batch);
-    EXPECT_EQ(decoded.iteration_completed, step.iteration_completed);
-    ExpectRecordEqual(decoded.record, step.record);
-    EXPECT_EQ(decoded.arrival_processed, step.arrival_processed);
-    EXPECT_EQ(decoded.arrival.claim, step.arrival.claim);
-    EXPECT_TRUE(BitEqual(decoded.arrival.update_seconds,
-                         step.arrival.update_seconds));
+    RoundTrip(RandomMessage<StepResult>(&rng));
   }
 }
 
@@ -315,8 +97,17 @@ TEST(CodecRoundTripTest, FactDatabaseSurvivesWithNastyText) {
   nasty.SetGroundTruth(3, false);
 
   for (const FactDatabase* original : {&db, &nasty}) {
-    const FactDatabase decoded =
-        RoundTrip(*original, EncodeFactDatabase, DecodeFactDatabase);
+    ApiRequest request;
+    request.params = CreateSessionRequest{*original, SessionSpec{}};
+    auto text = EncodeRequest(request);
+    ASSERT_TRUE(text.ok()) << text.status();
+    auto back = DecodeRequest(text.value());
+    ASSERT_TRUE(back.ok()) << back.status();
+    auto again = EncodeRequest(back.value());
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.value(), text.value()) << "codec is not a fixed point";
+    const FactDatabase& decoded =
+        std::get<CreateSessionRequest>(back.value().params).db;
     ASSERT_EQ(decoded.num_sources(), original->num_sources());
     ASSERT_EQ(decoded.num_documents(), original->num_documents());
     ASSERT_EQ(decoded.num_claims(), original->num_claims());
@@ -347,7 +138,8 @@ TEST(CodecRoundTripTest, EnvelopesSurvive) {
   ApiRequest request;
   request.id = rng.NextU64();
   request.params =
-      CreateSessionRequest{testing::MakeHandDatabase(), RandomSpec(&rng)};
+      CreateSessionRequest{testing::MakeHandDatabase(),
+                           RandomMessage<SessionSpec>(&rng)};
   auto encoded = EncodeRequest(request);
   ASSERT_TRUE(encoded.ok()) << encoded.status();
   auto decoded = DecodeRequest(encoded.value());
@@ -382,15 +174,14 @@ TEST(CodecRoundTripTest, EnvelopesSurvive) {
   // Response envelopes: a step payload and a tagged error.
   ApiResponse step_response;
   step_response.id = 77;
-  step_response.result = StepResponse{RandomStep(&rng)};
+  step_response.result = StepResponse{RandomMessage<StepResult>(&rng)};
   auto response_text = EncodeResponse(step_response);
   ASSERT_TRUE(response_text.ok()) << response_text.status();
   auto response_back = DecodeResponse(response_text.value());
   ASSERT_TRUE(response_back.ok()) << response_back.status();
   EXPECT_FALSE(IsError(response_back.value()));
-  ExpectRecordEqual(
-      std::get<StepResponse>(response_back.value().result).step.record,
-      std::get<StepResponse>(step_response.result).step.record);
+  ExpectFieldsEqual(std::get<StepResponse>(step_response.result).step,
+                    std::get<StepResponse>(response_back.value().result).step);
 
   for (const StatusCode code :
        {StatusCode::kInvalidArgument, StatusCode::kNotFound,
@@ -420,8 +211,8 @@ TEST(CodecRoundTripTest, ValidationOutcomeSurvives) {
   outcome.state.set_prob(0, 5e-324);
   outcome.state.set_prob(2, 1.0 / 3.0);
   outcome.grounding = {1, 1, 0, 1, 0, 0};
-  outcome.trace.push_back(RandomRecord(&rng));
-  outcome.trace.push_back(RandomRecord(&rng));
+  outcome.trace.push_back(RandomMessage<IterationRecord>(&rng));
+  outcome.trace.push_back(RandomMessage<IterationRecord>(&rng));
   outcome.validations = SIZE_MAX;
   outcome.mistakes_made = 3;
   outcome.mistakes_detected = 2;
@@ -430,19 +221,10 @@ TEST(CodecRoundTripTest, ValidationOutcomeSurvives) {
   outcome.initial_precision = 0.25;
   outcome.final_precision = 1.0 / 3.0;
 
-  const ValidationOutcome decoded =
-      RoundTrip(outcome, EncodeValidationOutcome, DecodeValidationOutcome);
-  EXPECT_EQ(decoded.state.probs(), outcome.state.probs());
+  const ValidationOutcome decoded = RoundTrip(outcome);
   EXPECT_EQ(decoded.state.labeled_count(), outcome.state.labeled_count());
   EXPECT_EQ(decoded.state.label(1), ClaimLabel::kCredible);
   EXPECT_EQ(decoded.state.label(4), ClaimLabel::kNonCredible);
-  EXPECT_EQ(decoded.grounding, outcome.grounding);
-  ASSERT_EQ(decoded.trace.size(), outcome.trace.size());
-  for (size_t i = 0; i < decoded.trace.size(); ++i) {
-    ExpectRecordEqual(decoded.trace[i], outcome.trace[i]);
-  }
-  EXPECT_EQ(decoded.validations, outcome.validations);
-  EXPECT_EQ(decoded.stop_reason, outcome.stop_reason);
 }
 
 // ---- rejection properties --------------------------------------------------
@@ -451,7 +233,7 @@ TEST(CodecRejectionTest, NonFiniteDoublesRejectedAtEncode) {
   SessionSpec spec;
   spec.validation.target_precision = std::numeric_limits<double>::quiet_NaN();
   JsonWriter w;
-  EncodeSessionSpec(spec, &w);
+  JsonOut(&w).Value(spec);
   EXPECT_FALSE(w.Take().ok());
 
   StepResult step;
@@ -475,6 +257,25 @@ TEST(CodecRejectionTest, WrongApiVersionRejected) {
   auto decoded = DecodeRequest("{\"id\":1,\"method\":\"stats\"}");
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CodecRejectionTest, OversizedApiVersionRejectedNotTruncated) {
+  // 2^32 + 1 truncates to 1 in a uint32; both envelopes must compare the
+  // version at full width and refuse it.
+  uint64_t id = 0;
+  auto request = DecodeRequest(
+      "{\"api_version\":4294967297,\"id\":3,\"method\":\"stats\","
+      "\"params\":{}}",
+      &id);
+  EXPECT_FALSE(request.ok());
+  EXPECT_EQ(request.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(id, 3u);
+
+  auto response = DecodeResponse(
+      "{\"api_version\":4294967297,\"id\":3,\"ok\":true,"
+      "\"result_type\":\"checkpoint\",\"result\":{}}");
+  EXPECT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(CodecRejectionTest, UnknownMethodRejected) {
@@ -516,10 +317,8 @@ TEST(CodecRejectionTest, UnknownEnumValuesRejectedNotCoerced) {
       {"{\"user\":{\"kind\":\"omniscient\"}}"},
   };
   for (const auto& test_case : cases) {
-    auto parsed = ParseJson(test_case.json);
-    ASSERT_TRUE(parsed.ok()) << test_case.json;
     SessionSpec spec;
-    const Status status = DecodeSessionSpec(parsed.value(), &spec);
+    const Status status = DecodeSpec(test_case.json, &spec);
     EXPECT_FALSE(status.ok()) << test_case.json;
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << test_case.json;
   }
@@ -532,32 +331,29 @@ TEST(CodecRejectionTest, WrongTypeEnumValuesRejected) {
        {"{\"validation\":{\"icrf\":{\"backend\":7}}}",
         "{\"validation\":{\"strategy\":99}}",
         "{\"validation\":{\"guidance\":{\"fanout\":2}}}"}) {
-    auto parsed = ParseJson(json);
-    ASSERT_TRUE(parsed.ok()) << json;
     SessionSpec spec;
-    EXPECT_FALSE(DecodeSessionSpec(parsed.value(), &spec).ok()) << json;
+    EXPECT_FALSE(DecodeSpec(json, &spec).ok()) << json;
   }
 }
 
 TEST(CodecRoundTripTest, MissingBackendKeysDecodeToDefaults) {
   // Payloads from pre-backend peers carry no backend keys at all: they must
   // decode to kAuto — the exact legacy behavior — not error out.
-  auto parsed = ParseJson(
-      "{\"validation\":{\"icrf\":{\"max_em_iterations\":3}}}");
-  ASSERT_TRUE(parsed.ok());
   SessionSpec spec;
-  ASSERT_TRUE(DecodeSessionSpec(parsed.value(), &spec).ok());
+  ASSERT_TRUE(
+      DecodeSpec("{\"validation\":{\"icrf\":{\"max_em_iterations\":3}}}",
+                 &spec)
+          .ok());
   EXPECT_EQ(spec.validation.icrf.backend, CrfBackend::kAuto);
   EXPECT_EQ(spec.validation.icrf.hypothetical_backend, CrfBackend::kAuto);
   EXPECT_EQ(spec.validation.icrf.max_em_iterations, 3u);
 
   // And the known names decode to the matching enumerators.
-  auto explicit_json = ParseJson(
-      "{\"validation\":{\"icrf\":{\"backend\":\"dispatch\","
-      "\"hypothetical_backend\":\"mean_field\"}}}");
-  ASSERT_TRUE(explicit_json.ok());
   SessionSpec explicit_spec;
-  ASSERT_TRUE(DecodeSessionSpec(explicit_json.value(), &explicit_spec).ok());
+  ASSERT_TRUE(DecodeSpec("{\"validation\":{\"icrf\":{\"backend\":\"dispatch\","
+                         "\"hypothetical_backend\":\"mean_field\"}}}",
+                         &explicit_spec)
+                  .ok());
   EXPECT_EQ(explicit_spec.validation.icrf.backend, CrfBackend::kDispatch);
   EXPECT_EQ(explicit_spec.validation.icrf.hypothetical_backend,
             CrfBackend::kMeanField);
@@ -582,7 +378,7 @@ TEST(CodecRejectionTest, UnknownMembersAreTolerated) {
   auto parsed = ParseJson(w.Take().value());
   ASSERT_TRUE(parsed.ok());
   StepResult step;
-  EXPECT_TRUE(DecodeStepResult(parsed.value(), &step).ok());
+  EXPECT_TRUE(JsonIn::Value(parsed.value(), &step).ok());
   EXPECT_TRUE(step.done);
   EXPECT_EQ(step.stop_reason, "ok");
 }

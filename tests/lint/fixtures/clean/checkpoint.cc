@@ -1,5 +1,5 @@
-// Clean fixture, never compiled: checkpoints every serialized field and
-// range-validates the enum byte before casting.
+// Clean fixture, never compiled: range-validates the enum byte before
+// casting.
 
 void WriteDemoOptions(std::string* out, const DemoOptions& options) {
   AppendU64(out, options.gamma);

@@ -1,5 +1,5 @@
-// Clean fixture, never compiled: full coverage, rejecting enum parser,
-// GetEnum pairing with a missing-key default.
+// Clean fixture, never compiled: rejecting enum parser, GetEnum pairing
+// with a missing-key default.
 
 Status ParseShade(const std::string& name, Shade* out) {
   if (name == "light") {
@@ -20,15 +20,6 @@ Status GetEnum(const JsonValue& obj, const char* key, Parser parser,
   auto text = value->AsString();
   if (!text.ok()) return text.status();
   return parser(text.value(), out);
-}
-
-void EncodeDemoMessage(JsonWriter* w, const DemoMessage& message) {
-  w->Key("alpha").UInt(message.alpha);
-}
-
-Status DecodeDemoMessage(const JsonValue& value, DemoMessage* out) {
-  GetU64(value, "alpha", &out->alpha);
-  return Status::OK();
 }
 
 void EncodeDemoOptions(JsonWriter* w, const DemoOptions& options) {

@@ -1,5 +1,5 @@
-// Clean fixture, never compiled: gamma is fully serialized, cache is a
-// declared runtime-only exclusion.
+// Clean fixture, never compiled: the enum inventory and the option struct
+// the clean codec and checkpoint fixtures serialize.
 
 enum class Shade : unsigned char {
   kLight = 0,
@@ -11,5 +11,4 @@ const char* ShadeName(Shade shade);
 struct DemoOptions {
   int gamma = 0;
   Shade shade = Shade::kLight;
-  int cache = 0;  // lint: ephemeral
 };

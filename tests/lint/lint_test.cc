@@ -1,6 +1,6 @@
 // End-to-end tests for the veritas-lint binary: the real tree must be
 // clean, each bad fixture must trip exactly the check it was built for,
-// and the clean fixture must pass all three checks at once.
+// and the clean fixture must pass both checks at once.
 //
 // The test shells out to the binary (paths injected by CMake as
 // VERITAS_LINT_BINARY / VERITAS_LINT_FIXTURES / VERITAS_LINT_REPO) and
@@ -51,27 +51,6 @@ TEST(LintTest, RealTreeIsClean) {
   EXPECT_NE(r.output.find("clean"), std::string::npos) << r.output;
 }
 
-TEST(LintTest, FlagsDroppedField) {
-  const RunResult r = RunLint(
-      "--repo " + Fixture("dropped_field") +
-      " --check field-coverage --wire-header wire.h --codec codec.cc"
-      " --checkpoint checkpoint.cc --no-default-structs"
-      " --option-struct DemoOptions=options.h");
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("DemoOptions::delta"), std::string::npos)
-      << r.output;
-  // The drop must be reported on every uncovered path: codec encode,
-  // codec decode, checkpoint write, checkpoint read.
-  EXPECT_NE(r.output.find("encode"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("decode"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("checkpoint"), std::string::npos) << r.output;
-  // Covered members stay silent.
-  EXPECT_EQ(r.output.find("DemoOptions::gamma"), std::string::npos)
-      << r.output;
-  EXPECT_EQ(r.output.find("DemoMessage::alpha"), std::string::npos)
-      << r.output;
-}
-
 TEST(LintTest, FlagsUnannotatedRandomDevice) {
   const RunResult r = RunLint("--repo " + Fixture("unannotated_random") +
                               " --check determinism --determinism-dir .");
@@ -107,8 +86,7 @@ TEST(LintTest, FlagsEnumWithoutRejection) {
 TEST(LintTest, CleanFixturePasses) {
   const RunResult r = RunLint(
       "--repo " + Fixture("clean") +
-      " --wire-header wire.h --codec codec.cc --checkpoint checkpoint.cc"
-      " --no-default-structs --option-struct DemoOptions=options.h"
+      " --codec codec.cc --checkpoint checkpoint.cc"
       " --determinism-dir det --enum-dir .");
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }

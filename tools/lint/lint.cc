@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 
 namespace veritas {
@@ -98,12 +97,6 @@ bool IsControlKeyword(const std::string& ident) {
       "return", "sizeof", "throw",  "static_assert", "alignof",
       "new",    "delete", "assert", "defined",       "decltype"};
   return kKeywords.count(ident) != 0;
-}
-
-const std::set<std::string>& CoverageTags() {
-  static const std::set<std::string> kTags = {"wire-only", "checkpoint-only",
-                                              "ephemeral"};
-  return kTags;
 }
 
 }  // namespace
@@ -241,157 +234,7 @@ size_t SkipSpaces(const std::string& text, size_t i) {
   return i;
 }
 
-std::set<std::string> TagsAround(const SourceFile& file, size_t line) {
-  std::set<std::string> tags;
-  const auto merge = [&](size_t l) {
-    if (l >= 1 && l <= file.tags.size()) {
-      tags.insert(file.tags[l - 1].begin(), file.tags[l - 1].end());
-    }
-  };
-  merge(line);
-  if (line > 1) merge(line - 1);
-  return tags;
-}
-
-/// Parses one member statement collected at struct depth. Returns false
-/// for non-member statements (methods, using/static/friend declarations).
-bool MemberName(std::string statement, std::string* name) {
-  statement = Trim(statement);
-  for (const char* spec : {"public:", "private:", "protected:"}) {
-    if (statement.rfind(spec, 0) == 0) {
-      statement = Trim(statement.substr(std::string(spec).size()));
-    }
-  }
-  if (statement.empty()) return false;
-  size_t end = 0;
-  while (end < statement.size() && IsIdentChar(statement[end])) ++end;
-  const std::string first = statement.substr(0, end);
-  static const std::set<std::string> kSkip = {
-      "using", "static", "friend",   "typedef", "template",
-      "enum",  "struct", "class",    "union",   "explicit",
-      "virtual"};
-  if (kSkip.count(first) != 0) return false;
-  if (statement.find("operator") != std::string::npos) return false;
-  const size_t paren = statement.find('(');
-  const size_t equals = statement.find('=');
-  if (paren != std::string::npos &&
-      (equals == std::string::npos || paren < equals)) {
-    return false;  // method / constructor declaration
-  }
-  size_t cut = statement.size();
-  for (const char stop : {'=', '{'}) {
-    const size_t at = statement.find(stop);
-    if (at != std::string::npos) cut = std::min(cut, at);
-  }
-  const std::string head = statement.substr(0, cut);
-  std::string last;
-  for (size_t i = 0; i < head.size();) {
-    if (IsIdentStart(head[i])) {
-      size_t j = i;
-      while (j < head.size() && IsIdentChar(head[j])) ++j;
-      last = head.substr(i, j - i);
-      i = j;
-    } else {
-      ++i;
-    }
-  }
-  if (last.empty() || !IsIdentStart(last[0])) return false;
-  *name = last;
-  return true;
-}
-
 }  // namespace
-
-std::vector<StructDecl> ParseStructs(const SourceFile& file) {
-  std::vector<StructDecl> structs;
-  const FlatText flat = Flatten(file);
-  const std::string& text = flat.text;
-  for (size_t i = 0; i < text.size();) {
-    if (text[i] == '"' || text[i] == '\'') {
-      i = SkipLiteral(text, i);
-      continue;
-    }
-    if (!WordAt(flat, i, "struct")) {
-      ++i;
-      continue;
-    }
-    const size_t keyword_line = flat.LineAt(i);
-    size_t j = SkipSpaces(text, i + 6);
-    size_t name_end = j;
-    while (name_end < text.size() && IsIdentChar(text[name_end])) ++name_end;
-    std::string name = text.substr(j, name_end - j);
-    j = SkipSpaces(text, name_end);
-    if (text.compare(j, 5, "final") == 0) j = SkipSpaces(text, j + 5);
-    // Definition only: scan to '{' unless a ';' or '(' intervenes (forward
-    // declaration, function parameter, template argument).
-    while (j < text.size() && text[j] != '{' && text[j] != ';' &&
-           text[j] != '(' && text[j] != '>') {
-      ++j;
-    }
-    if (j >= text.size() || text[j] != '{' || name.empty()) {
-      i = j + 1;
-      continue;
-    }
-
-    StructDecl decl;
-    decl.name = name;
-    decl.line = keyword_line;
-    decl.tags = TagsAround(file, keyword_line);
-
-    std::string buffer;
-    size_t buffer_line = 0;
-    size_t k = j + 1;
-    while (k < text.size()) {
-      const char c = text[k];
-      if (c == '"' || c == '\'') {
-        const size_t next = SkipLiteral(text, k);
-        buffer.append(text, k, next - k);
-        k = next;
-        continue;
-      }
-      if (c == '{') {
-        const std::string pre = Trim(buffer);
-        const size_t close = MatchBracket(text, k, '{', '}');
-        static const char* kNested[] = {"enum", "struct", "class", "union"};
-        bool nested = pre.empty() || pre.find('(') != std::string::npos;
-        for (const char* kw : kNested) {
-          if (pre.rfind(kw, 0) == 0) nested = true;
-        }
-        buffer = nested ? std::string() : pre + "{}";
-        k = close;
-        continue;
-      }
-      if (c == '}') {
-        ++k;
-        break;  // end of struct
-      }
-      if (c == ';') {
-        std::string member_name;
-        if (MemberName(buffer, &member_name)) {
-          StructMember member;
-          member.name = member_name;
-          member.line = buffer_line == 0 ? flat.LineAt(k) : buffer_line;
-          member.tags = TagsAround(file, member.line);
-          const auto end_tags = TagsAround(file, flat.LineAt(k));
-          member.tags.insert(end_tags.begin(), end_tags.end());
-          decl.members.push_back(std::move(member));
-        }
-        buffer.clear();
-        buffer_line = 0;
-        ++k;
-        continue;
-      }
-      if (!std::isspace(static_cast<unsigned char>(c)) && buffer.empty()) {
-        buffer_line = flat.LineAt(k);
-      }
-      buffer += c;
-      ++k;
-    }
-    structs.push_back(std::move(decl));
-    i = k;
-  }
-  return structs;
-}
 
 std::vector<FunctionDef> ParseFunctions(const FlatText& flat) {
   std::vector<FunctionDef> functions;
@@ -444,19 +287,6 @@ std::vector<FunctionDef> ParseFunctions(const FlatText& flat) {
   return functions;
 }
 
-bool ContainsToken(const std::string& text, const std::string& word) {
-  if (word.empty()) return false;
-  size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !IsIdentChar(text[pos - 1]);
-    const size_t end = pos + word.size();
-    const bool right_ok = end >= text.size() || !IsIdentChar(text[end]);
-    if (left_ok && right_ok) return true;
-    pos += 1;
-  }
-  return false;
-}
-
 namespace {
 
 std::string JoinPath(const std::string& root, const std::string& rel) {
@@ -471,31 +301,6 @@ std::string Relative(const std::string& path, const std::string& root) {
   const std::string s = rel.string();
   return s.rfind("..", 0) == 0 ? path : s;
 }
-
-/// Concatenated bodies of every function whose name contains one of the
-/// given fragments.
-std::string AggregateBodies(const FlatText& flat,
-                            const std::vector<FunctionDef>& functions,
-                            const std::vector<std::string>& fragments) {
-  std::string out;
-  for (const FunctionDef& fn : functions) {
-    for (const std::string& fragment : fragments) {
-      if (fn.name.find(fragment) != std::string::npos) {
-        out.append(flat.text, fn.body_begin, fn.body_end - fn.body_begin);
-        out += '\n';
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-struct CoverageSide {
-  std::string label;      ///< e.g. "codec encode path"
-  std::string file;       ///< file the path lives in (for the message)
-  const std::string* text;
-  std::string exempt_tag; ///< annotation that waives this side
-};
 
 bool FileInDirs(const fs::path& file, const std::vector<std::string>& dirs,
                 const std::string& root) {
@@ -581,127 +386,6 @@ std::set<std::string> UnorderedNames(const FlatText& flat) {
 }
 
 }  // namespace
-
-std::vector<Finding> CheckFieldCoverage(const Config& config) {
-  std::vector<Finding> findings;
-  const auto fail_load = [&](const std::string& path, const std::string& err) {
-    findings.push_back({path, 0, "field-coverage", err});
-  };
-
-  SourceFile codec, checkpoint;
-  std::string error;
-  if (!LoadSource(config.codec, &codec, &error)) {
-    fail_load(config.codec, error);
-    return findings;
-  }
-  if (!LoadSource(config.checkpoint, &checkpoint, &error)) {
-    fail_load(config.checkpoint, error);
-    return findings;
-  }
-  const FlatText codec_flat = Flatten(codec);
-  const FlatText checkpoint_flat = Flatten(checkpoint);
-  const auto codec_functions = ParseFunctions(codec_flat);
-  const auto checkpoint_functions = ParseFunctions(checkpoint_flat);
-  const std::string encode_text =
-      AggregateBodies(codec_flat, codec_functions, {"Encode"});
-  const std::string decode_text =
-      AggregateBodies(codec_flat, codec_functions, {"Decode"});
-  const std::string save_text =
-      AggregateBodies(checkpoint_flat, checkpoint_functions, {"Write", "Save"});
-  const std::string restore_text =
-      AggregateBodies(checkpoint_flat, checkpoint_functions, {"Read", "Load"});
-
-  const std::string codec_rel = Relative(config.codec, config.repo);
-  const std::string checkpoint_rel = Relative(config.checkpoint, config.repo);
-
-  struct Tracked {
-    StructDecl decl;
-    std::string header;
-  };
-  std::vector<Tracked> tracked;
-
-  SourceFile wire;
-  if (!LoadSource(config.wire_header, &wire, &error)) {
-    fail_load(config.wire_header, error);
-    return findings;
-  }
-  for (StructDecl& decl : ParseStructs(wire)) {
-    tracked.push_back({std::move(decl), config.wire_header});
-  }
-
-  std::map<std::string, std::vector<StructDecl>> header_cache;
-  for (const auto& [name, header] : config.option_structs) {
-    auto it = header_cache.find(header);
-    if (it == header_cache.end()) {
-      SourceFile file;
-      if (!LoadSource(header, &file, &error)) {
-        fail_load(header, error);
-        continue;
-      }
-      it = header_cache.emplace(header, ParseStructs(file)).first;
-    }
-    bool found = false;
-    for (const StructDecl& decl : it->second) {
-      if (decl.name == name) {
-        tracked.push_back({decl, header});
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      findings.push_back(
-          {header, 0, "field-coverage",
-           "tracked struct '" + name +
-               "' not found — update the lint configuration if it moved"});
-    }
-  }
-
-  for (const Tracked& entry : tracked) {
-    const StructDecl& decl = entry.decl;
-    const std::string header_rel = Relative(entry.header, config.repo);
-    for (const StructMember& member : decl.members) {
-      // Member-level coverage tags override struct-level ones.
-      std::set<std::string> effective;
-      for (const std::string& tag : CoverageTags()) {
-        if (member.tags.count(tag)) effective.insert(tag);
-      }
-      if (effective.empty()) {
-        for (const std::string& tag : CoverageTags()) {
-          if (decl.tags.count(tag)) effective.insert(tag);
-        }
-      }
-      if (effective.count("ephemeral")) continue;
-      const bool need_codec = effective.count("checkpoint-only") == 0;
-      const bool need_checkpoint = effective.count("wire-only") == 0;
-      const auto report = [&](const std::string& side_label,
-                              const std::string& side_file,
-                              const std::string& waive) {
-        findings.push_back(
-            {header_rel, member.line, "field-coverage",
-             decl.name + "::" + member.name + " missing from the " +
-                 side_label + " (" + side_file + "); add coverage or annotate "
-                 "'// lint: " + waive + "'"});
-      };
-      if (need_codec) {
-        if (!ContainsToken(encode_text, member.name)) {
-          report("codec encode path", codec_rel, "checkpoint-only");
-        }
-        if (!ContainsToken(decode_text, member.name)) {
-          report("codec decode path", codec_rel, "checkpoint-only");
-        }
-      }
-      if (need_checkpoint) {
-        if (!ContainsToken(save_text, member.name)) {
-          report("checkpoint save path", checkpoint_rel, "wire-only");
-        }
-        if (!ContainsToken(restore_text, member.name)) {
-          report("checkpoint restore path", checkpoint_rel, "wire-only");
-        }
-      }
-    }
-  }
-  return findings;
-}
 
 std::vector<Finding> CheckDeterminism(const Config& config) {
   std::vector<Finding> findings;
@@ -1002,10 +686,6 @@ std::vector<Finding> Run(const Config& config) {
   const auto enabled = [&](const char* name) {
     return config.checks.empty() || config.checks.count(name) != 0;
   };
-  if (enabled("field-coverage")) {
-    auto f = CheckFieldCoverage(config);
-    findings.insert(findings.end(), f.begin(), f.end());
-  }
   if (enabled("determinism")) {
     auto f = CheckDeterminism(config);
     findings.insert(findings.end(), f.begin(), f.end());

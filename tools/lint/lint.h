@@ -1,25 +1,23 @@
 /// \file
-/// veritas-lint: a repo-invariant static checker (DESIGN.md §15). Three
+/// veritas-lint: a repo-invariant static checker (DESIGN.md §15). Two
 /// lexical/structural passes over the tree, no compiler front end:
 ///
-///   field-coverage — every member of the wire message structs and the
-///     serialized option structs must appear in both codec directions
-///     (src/api/codec.cc Encode*/Decode*) and both checkpoint directions
-///     (src/service/checkpoint.cc Write*|Save* / Read*|Load*), unless an
-///     annotation declares the exclusion.
 ///   determinism — inference code (src/crf, src/core, src/graph) must not
 ///     read ambient entropy or wall clocks, and must not range-for over
 ///     unordered containers (hash order leaks into FP summation order and
 ///     emitted sequences).
-///   wire-compat — every enum the codec speaks must reject unknown values
-///     and default on missing keys (the checkpoint-v2 postmortem rule),
-///     verified by pattern.
+///   wire-compat — every enum the hand-written codec and checkpoint code
+///     speaks must reject unknown values and default on missing keys (the
+///     checkpoint-v2 postmortem rule), verified by pattern. Fields that go
+///     through the visitor archives (service/fields.h) get these contracts
+///     by construction, and tests/api/serialization_test.cc checks them.
+///
+/// Field coverage — every serialized member reaching every format — is not
+/// a lint rule: each struct lists its fields once, in service/fields.h, and
+/// the serialization test fails when a member is missing from that list.
 ///
 /// Annotation grammar (a `// lint: <tag>` comment on the construct's line
-/// or the line above; struct-level tags apply to every member):
-///   wire-only       field lives only on the wire, checkpoint exempt
-///   checkpoint-only field lives only in checkpoints, codec exempt
-///   ephemeral       derived/runtime state, exempt from field-coverage
+/// or the line above):
 ///   timing          clock read measures latency only, never steers data
 ///   unordered-ok    iteration order provably cannot escape the scope
 ///   enum-checked    enum codec site validated by hand (dispatch keys)
@@ -30,7 +28,6 @@
 #include <cstddef>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace veritas {
@@ -39,7 +36,7 @@ namespace lint {
 struct Finding {
   std::string file;
   size_t line = 0;
-  std::string check;  ///< "field-coverage" | "determinism" | "wire-compat"
+  std::string check;  ///< "determinism" | "wire-compat"
   std::string message;
 };
 
@@ -71,23 +68,6 @@ struct FlatText {
 };
 FlatText Flatten(const SourceFile& file);
 
-struct StructMember {
-  std::string name;
-  size_t line = 0;
-  std::set<std::string> tags;
-};
-
-struct StructDecl {
-  std::string name;
-  size_t line = 0;
-  std::set<std::string> tags;
-  std::vector<StructMember> members;
-};
-
-/// Extracts struct definitions and their data members (methods, nested
-/// types, using/static declarations are skipped).
-std::vector<StructDecl> ParseStructs(const SourceFile& file);
-
 struct FunctionDef {
   std::string name;
   size_t line = 0;
@@ -99,25 +79,18 @@ struct FunctionDef {
 /// the `ident (args) {` pattern; control-flow keywords are excluded.
 std::vector<FunctionDef> ParseFunctions(const FlatText& flat);
 
-/// Word-boundary token search; matches bare identifiers and quoted keys.
-bool ContainsToken(const std::string& text, const std::string& word);
-
 struct Config {
   std::string repo;        ///< absolute repo root
-  std::string wire_header; ///< default src/api/wire.h
   std::string codec;       ///< default src/api/codec.cc
   std::string checkpoint;  ///< default src/service/checkpoint.cc
-  /// (struct name, header path) pairs whose members must be serialized.
-  std::vector<std::pair<std::string, std::string>> option_structs;
   std::vector<std::string> determinism_dirs;  ///< default crf/core/graph
   std::vector<std::string> enum_dirs;         ///< enum inventory, default src
   /// Translation units from compile_commands.json; empty = directory walk.
   std::vector<std::string> compile_files;
-  std::set<std::string> checks;  ///< empty = all three
+  std::set<std::string> checks;  ///< empty = both
   bool verbose = false;
 };
 
-std::vector<Finding> CheckFieldCoverage(const Config& config);
 std::vector<Finding> CheckDeterminism(const Config& config);
 std::vector<Finding> CheckWireCompat(const Config& config);
 

@@ -3,9 +3,8 @@
 /// tree is clean, 1 on findings, 2 on usage/configuration errors.
 ///
 ///   veritas-lint --repo <root> [--compile-commands <json>]
-///                [--check field-coverage|determinism|wire-compat]...
-///                [--wire-header <h>] [--codec <cc>] [--checkpoint <cc>]
-///                [--option-struct Name=<header>]... [--no-default-structs]
+///                [--check determinism|wire-compat]...
+///                [--codec <cc>] [--checkpoint <cc>]
 ///                [--determinism-dir <dir>]... [--enum-dir <dir>]...
 ///
 /// Relative paths are resolved against --repo. Fixture trees (tests/lint)
@@ -33,7 +32,7 @@ std::string Resolve(const std::string& repo, const std::string& path) {
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --repo <root> [--compile-commands <json>] [--check <name>]\n"
-               "  checks: field-coverage, determinism, wire-compat "
+               "  checks: determinism, wire-compat "
                "(default: all)\n";
   return 2;
 }
@@ -81,7 +80,6 @@ bool LoadCompileCommands(const std::string& path,
 int main(int argc, char** argv) {
   veritas::lint::Config config;
   std::string compile_commands;
-  bool default_structs = true;
   bool default_dirs = true;
 
   const auto next = [&](int& i) -> const char* {
@@ -97,20 +95,10 @@ int main(int argc, char** argv) {
       compile_commands = value;
     } else if (arg == "--check" && (value = next(i))) {
       config.checks.insert(value);
-    } else if (arg == "--wire-header" && (value = next(i))) {
-      config.wire_header = value;
     } else if (arg == "--codec" && (value = next(i))) {
       config.codec = value;
     } else if (arg == "--checkpoint" && (value = next(i))) {
       config.checkpoint = value;
-    } else if (arg == "--option-struct" && (value = next(i))) {
-      const std::string spec = value;
-      const size_t eq = spec.find('=');
-      if (eq == std::string::npos) return Usage(argv[0]);
-      config.option_structs.emplace_back(spec.substr(0, eq),
-                                         spec.substr(eq + 1));
-    } else if (arg == "--no-default-structs") {
-      default_structs = false;
     } else if (arg == "--determinism-dir" && (value = next(i))) {
       config.determinism_dirs.push_back(value);
       default_dirs = false;
@@ -126,31 +114,15 @@ int main(int argc, char** argv) {
   std::error_code ec;
   config.repo = fs::weakly_canonical(config.repo, ec).string();
 
-  if (config.wire_header.empty()) config.wire_header = "src/api/wire.h";
   if (config.codec.empty()) config.codec = "src/api/codec.cc";
   if (config.checkpoint.empty()) config.checkpoint = "src/service/checkpoint.cc";
-  if (default_structs) {
-    // The serialized option structs: every member must survive both the
-    // wire round trip and the checkpoint round trip (or carry a tag).
-    config.option_structs.emplace_back("ICrfOptions", "src/core/icrf.h");
-    config.option_structs.emplace_back("GibbsOptions", "src/crf/gibbs.h");
-    config.option_structs.emplace_back("GuidanceConfig", "src/core/strategy.h");
-    config.option_structs.emplace_back("ConfirmationOptions",
-                                       "src/core/confirmation.h");
-    config.option_structs.emplace_back("SessionSpec", "src/service/session.h");
-    config.option_structs.emplace_back("UserSpec", "src/service/session.h");
-  }
   if (default_dirs) {
     config.determinism_dirs = {"src/crf", "src/core", "src/graph"};
   }
   if (config.enum_dirs.empty()) config.enum_dirs = {"src"};
 
-  config.wire_header = Resolve(config.repo, config.wire_header);
   config.codec = Resolve(config.repo, config.codec);
   config.checkpoint = Resolve(config.repo, config.checkpoint);
-  for (auto& [name, header] : config.option_structs) {
-    header = Resolve(config.repo, header);
-  }
   if (!compile_commands.empty() &&
       !LoadCompileCommands(Resolve(config.repo, compile_commands),
                            &config.compile_files)) {
