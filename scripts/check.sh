@@ -32,8 +32,8 @@
 #
 # TSAN=1 builds with ThreadSanitizer and runs the service/, api/, obs/ and
 # crf/ suites — the ones exercising the SessionManager's per-session
-# locking, the RequestQueue worker pool, the ApiServer's accept/handler
-# threads, the sharded MetricsRegistry counters under contention
+# locking, the RequestQueue worker pool, the EventApiServer's event loop
+# and dispatch pool, the sharded MetricsRegistry counters under contention
 # (obs_metrics_test) and its HTTP scrape thread (obs_exposition_test), the
 # HypotheticalEngine's striped caches and the parallel inference kernels
 # (chromatic color-class sweeps in crf_chromatic_test, sharded batched

@@ -23,6 +23,17 @@ Result<T> Expect(Result<ApiResponse> response) {
   return Status::Internal("ApiClient: unexpected response payload type");
 }
 
+/// Wraps one params alternative in a request envelope. The envelope is
+/// built in place and handed to Call() as a prvalue, so the params variant
+/// is never move-constructed (gcc 12 misreads that move as reading an
+/// inactive alternative's string under -O2: -Wmaybe-uninitialized).
+template <typename Params>
+ApiRequest Envelope(Params params) {
+  ApiRequest request;
+  request.params = std::move(params);
+  return request;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ApiClient>> ApiClient::Connect(const std::string& host,
@@ -52,63 +63,53 @@ Result<ApiResponse> ApiClient::Call(ApiRequest request) {
 
 Result<SessionId> ApiClient::CreateSession(const FactDatabase& db,
                                            const SessionSpec& spec) {
-  ApiRequest request;
-  request.params = CreateSessionRequest{db, spec};
-  auto response = Expect<CreateSessionResponse>(Call(std::move(request)));
+  auto response = Expect<CreateSessionResponse>(
+      Call(Envelope(CreateSessionRequest{db, spec})));
   if (!response.ok()) return response.status();
   return response.value().session;
 }
 
 Result<StepResult> ApiClient::Advance(SessionId session) {
-  ApiRequest request;
-  request.params = AdvanceRequest{session};
-  auto response = Expect<StepResponse>(Call(std::move(request)));
+  auto response = Expect<StepResponse>(Call(Envelope(AdvanceRequest{session})));
   if (!response.ok()) return response.status();
   return std::move(response).value().step;
 }
 
 Result<StepResult> ApiClient::Answer(SessionId session,
                                      const StepAnswers& answers) {
-  ApiRequest request;
-  request.params = AnswerRequest{session, answers};
-  auto response = Expect<StepResponse>(Call(std::move(request)));
+  auto response =
+      Expect<StepResponse>(Call(Envelope(AnswerRequest{session, answers})));
   if (!response.ok()) return response.status();
   return std::move(response).value().step;
 }
 
 Result<GroundingView> ApiClient::Ground(SessionId session) {
-  ApiRequest request;
-  request.params = GroundRequest{session};
-  auto response = Expect<GroundResponse>(Call(std::move(request)));
+  auto response =
+      Expect<GroundResponse>(Call(Envelope(GroundRequest{session})));
   if (!response.ok()) return response.status();
   return std::move(response).value().view;
 }
 
 Status ApiClient::Checkpoint(SessionId session, const std::string& directory) {
-  ApiRequest request;
-  request.params = CheckpointRequest{session, directory};
-  auto response = Expect<CheckpointResponse>(Call(std::move(request)));
+  auto response = Expect<CheckpointResponse>(
+      Call(Envelope(CheckpointRequest{session, directory})));
   return response.status();
 }
 
 Result<SessionId> ApiClient::Restore(const std::string& directory) {
-  ApiRequest request;
-  request.params = RestoreRequest{directory};
-  auto response = Expect<RestoreResponse>(Call(std::move(request)));
+  auto response =
+      Expect<RestoreResponse>(Call(Envelope(RestoreRequest{directory})));
   if (!response.ok()) return response.status();
   return response.value().session;
 }
 
 Result<StatsResponse> ApiClient::Stats() {
-  ApiRequest request;
-  request.params = StatsRequest{};
-  return Expect<StatsResponse>(Call(std::move(request)));
+  return Expect<StatsResponse>(Call(Envelope(StatsRequest{})));
 }
 
 Result<ValidationOutcome> ApiClient::Terminate(SessionId session) {
-  ApiRequest request;
-  request.params = TerminateRequest{session};
-  auto response = Expect<TerminateResponse>(Call(std::move(request)));
+  auto response =
+      Expect<TerminateResponse>(Call(Envelope(TerminateRequest{session})));
   if (!response.ok()) return response.status();
   return std::move(response).value().outcome;
 }

@@ -347,7 +347,7 @@ Result<std::string> EncodeRequest(const ApiRequest& request) {
   if (!request.trace_id.empty()) out("trace_id", request.trace_id);
   // Dispatch key, not a defaultable enum field: DecodeRequest rejects a
   // missing or unknown method by hand.
-  w.Key("method").String(ApiMethodName(request.method()));  // lint: enum-checked
+  w.Key("method").String(ApiMethodName(request.method()));
   w.Key("params").BeginObject();
   std::visit(
       [&](const auto& params) {
@@ -465,12 +465,12 @@ Result<std::string> EncodeResponse(const ApiResponse& response) {
     out("code", static_cast<uint64_t>(error.code));
     // Display duplicate of the numeric "code", which DecodeResponse
     // range-validates; the name is never read back.
-    w.Key("status").String(StatusCodeName(error.code));  // lint: enum-checked
+    w.Key("status").String(StatusCodeName(error.code));
     out("message", error.message);
     w.EndObject();
   } else {
     // Dispatch key: DecodeResponse rejects unknown result types by hand.
-    w.Key("result_type").String(ResultTypeName(response));  // lint: enum-checked
+    w.Key("result_type").String(ResultTypeName(response));
     w.Key("result");
     std::visit(
         [&](const auto& result) {

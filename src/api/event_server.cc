@@ -18,8 +18,8 @@ namespace {
 constexpr uint64_t kListenerId = 1;
 constexpr uint64_t kWakeId = 2;
 
-/// Wire-level registry handles, labeled transport="event" (the threaded
-/// server registers the same family under transport="threaded").
+/// Wire-level registry handles, labeled transport="event" so the scraped
+/// series keep the names they have always had.
 struct WireMetrics {
   MetricsRegistry::Counter* connections;
   MetricsRegistry::Counter* frames;
@@ -213,7 +213,7 @@ void EventApiServer::HandleReadable(uint64_t id, Connection* conn) {
   }
   if (!ParseFrames(conn)) {
     // Oversized length prefix: protocol abuse, close without a response —
-    // the same behavior the threaded server's ReadFrame failure produces.
+    // the same way ReadFrame rejects it on the client side.
     Metrics().frame_errors->Increment();
     CloseConnection(id, conn);
     return;

@@ -285,6 +285,26 @@ TEST(CodecRejectionTest, UnknownMethodRejected) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kUnimplemented);
 }
 
+TEST(CodecRejectionTest, UnknownResultTypeRejected) {
+  auto decoded = DecodeResponse(
+      "{\"api_version\":1,\"id\":4,\"ok\":true,"
+      "\"result_type\":\"explode\",\"result\":{}}");
+  EXPECT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kUnimplemented);
+}
+
+TEST(CodecRejectionTest, OutOfRangeErrorCodeRejected) {
+  // One past the last StatusCode: the decoder must refuse it rather than
+  // cast it into an enum value no code path handles.
+  const uint64_t past_last =
+      static_cast<uint64_t>(StatusCode::kUnavailable) + 1;
+  auto decoded = DecodeResponse(
+      "{\"api_version\":1,\"id\":4,\"ok\":false,\"error\":{\"code\":" +
+      std::to_string(past_last) + ",\"message\":\"boom\"}}");
+  EXPECT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(CodecRejectionTest, TruncatedAndMalformedDocumentsRejected) {
   ApiRequest request;
   request.params = AdvanceRequest{3};

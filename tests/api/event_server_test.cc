@@ -1,10 +1,8 @@
-// Transport parity and protocol-abuse tests (DESIGN.md §11): the epoll
-// event-loop server must be indistinguishable from the threaded server at
-// the protocol level, so every abuse case runs against BOTH transports —
+// Protocol-abuse tests of the epoll event-loop server (DESIGN.md §11) —
 // dribbled frame bytes, pipelined frames, garbage payloads, oversized
-// frame prefixes, truncated frames, half-open connections. Event-loop-only
-// behaviors (idle connections cost no threads, forced partial writes,
-// session parity with in-process) get their own suite.
+// frame prefixes, truncated frames, half-open connections, idle
+// connections — plus its own mechanics: idle connections cost no threads,
+// forced partial writes, session parity with in-process.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +17,6 @@
 #include "api/client.h"
 #include "api/codec.h"
 #include "api/event_server.h"
-#include "api/server.h"
 #include "api/service.h"
 #include "testing/corpus_fixtures.h"
 #include "testing/wire_fixtures.h"
@@ -59,168 +56,6 @@ std::string FramePrefix(uint32_t length) {
   return prefix;
 }
 
-/// Both transports behind the WireServer seam; the bool parameter selects
-/// the event loop (true) or thread-per-connection (false).
-class WireTransportTest : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override {
-    manager_ = std::make_unique<SessionManager>();
-    RequestQueueOptions queue_options;
-    queue_options.num_workers = 2;
-    queue_ = std::make_unique<RequestQueue>(manager_.get(), queue_options);
-    api_ = std::make_unique<GuidanceApi>(manager_.get(), queue_.get());
-    if (GetParam()) {
-      EventApiServerOptions options;
-      options.max_frame_bytes = kTestMaxFrame;
-      auto server = EventApiServer::Start(api_.get(), options);
-      ASSERT_TRUE(server.ok()) << server.status();
-      server_ = std::move(server).value();
-    } else {
-      ApiServerOptions options;
-      options.max_frame_bytes = kTestMaxFrame;
-      auto server = ApiServer::Start(api_.get(), options);
-      ASSERT_TRUE(server.ok()) << server.status();
-      server_ = std::move(server).value();
-    }
-  }
-
-  void TearDown() override {
-    if (server_ != nullptr) server_->Stop();
-  }
-
-  Socket RawConnection() {
-    auto socket = Socket::ConnectTcp("127.0.0.1", server_->port());
-    EXPECT_TRUE(socket.ok()) << socket.status();
-    return std::move(socket).value();
-  }
-
-  std::unique_ptr<SessionManager> manager_;
-  std::unique_ptr<RequestQueue> queue_;
-  std::unique_ptr<GuidanceApi> api_;
-  std::unique_ptr<WireServer> server_;
-};
-
-TEST_P(WireTransportTest, ServesATypedClientSession) {
-  auto client = ApiClient::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(client.ok()) << client.status();
-  const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 10);
-  auto created =
-      client.value()->CreateSession(corpus.db, testing::BatchSpec(3, 2));
-  ASSERT_TRUE(created.ok()) << created.status();
-  auto advanced = client.value()->Advance(created.value());
-  ASSERT_TRUE(advanced.ok()) << advanced.status();
-  auto outcome = client.value()->Terminate(created.value());
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-}
-
-TEST_P(WireTransportTest, PipelinedFramesAnswerInOrder) {
-  Socket raw = RawConnection();
-  // Three requests in ONE write: responses must come back one frame each,
-  // in submission order (per-connection FIFO is the ordering contract).
-  std::string burst;
-  for (uint64_t id = 11; id <= 13; ++id) {
-    const std::string payload = StatsFrame(id);
-    burst += FramePrefix(static_cast<uint32_t>(payload.size())) + payload;
-  }
-  ASSERT_TRUE(raw.SendAll(burst.data(), burst.size()).ok());
-  for (uint64_t id = 11; id <= 13; ++id) {
-    const ApiResponse response = MustReadResponse(raw);
-    EXPECT_EQ(response.id, id);
-    EXPECT_FALSE(IsError(response));
-  }
-}
-
-TEST_P(WireTransportTest, DribbledBytesReassembleIntoAFrame) {
-  Socket raw = RawConnection();
-  const std::string payload = StatsFrame(77);
-  const std::string frame =
-      FramePrefix(static_cast<uint32_t>(payload.size())) + payload;
-  // One byte per write: the server sees the worst possible fragmentation —
-  // a length prefix split across reads, then a payload arriving in drips.
-  for (char byte : frame) {
-    ASSERT_TRUE(raw.SendAll(&byte, 1).ok());
-  }
-  const ApiResponse response = MustReadResponse(raw);
-  EXPECT_EQ(response.id, 77u);
-  EXPECT_FALSE(IsError(response));
-}
-
-TEST_P(WireTransportTest, GarbageJsonGetsAnErrorEnvelopeNotAHangup) {
-  Socket raw = RawConnection();
-  ASSERT_TRUE(WriteFrame(raw, "not json at all").ok());
-  const ApiResponse error = MustReadResponse(raw);
-  ASSERT_TRUE(IsError(error));
-  EXPECT_EQ(std::get<ErrorResponse>(error.result).code,
-            StatusCode::kInvalidArgument);
-  // The connection survives and serves the next valid frame.
-  ASSERT_TRUE(WriteFrame(raw, StatsFrame(6)).ok());
-  EXPECT_FALSE(IsError(MustReadResponse(raw)));
-}
-
-TEST_P(WireTransportTest, OversizedFramePrefixClosesTheConnection) {
-  Socket raw = RawConnection();
-  // A prefix claiming max+1 bytes is protocol abuse: the server closes
-  // without a response — never allocates, never answers.
-  const std::string prefix =
-      FramePrefix(static_cast<uint32_t>(kTestMaxFrame) + 1);
-  ASSERT_TRUE(raw.SendAll(prefix.data(), prefix.size()).ok());
-  auto reply = ReadFrame(raw);
-  EXPECT_FALSE(reply.ok());
-
-  // The listener is unaffected: a fresh connection gets served.
-  Socket fresh = RawConnection();
-  ASSERT_TRUE(WriteFrame(fresh, StatsFrame(8)).ok());
-  EXPECT_FALSE(IsError(MustReadResponse(fresh)));
-}
-
-TEST_P(WireTransportTest, TruncatedFrameThenCloseIsReapedCleanly) {
-  const size_t served_before = server_->connections_served();
-  {
-    Socket raw = RawConnection();
-    const std::string lie = FramePrefix(100) + std::string(10, 'x');
-    ASSERT_TRUE(raw.SendAll(lie.data(), lie.size()).ok());
-    // Destructor closes mid-frame.
-  }
-  // The aborted connection is fully reaped (no stuck handler)...
-  server_->WaitForConnections(served_before + 1);
-  // ...and the server still serves.
-  Socket fresh = RawConnection();
-  ASSERT_TRUE(WriteFrame(fresh, StatsFrame(9)).ok());
-  EXPECT_FALSE(IsError(MustReadResponse(fresh)));
-}
-
-TEST_P(WireTransportTest, HalfOpenConnectionStillGetsItsResponse) {
-  Socket raw = RawConnection();
-  ASSERT_TRUE(WriteFrame(raw, StatsFrame(21)).ok());
-  // Close only OUR write side: the peer sees EOF after the frame but must
-  // still deliver the response on the intact other direction.
-  ASSERT_EQ(::shutdown(raw.fd(), SHUT_WR), 0);
-  const ApiResponse response = MustReadResponse(raw);
-  EXPECT_EQ(response.id, 21u);
-  EXPECT_FALSE(IsError(response));
-}
-
-TEST_P(WireTransportTest, ManyIdleConnectionsDoNotStarveService) {
-  // 64 connections that never send a byte, held open while a real client
-  // does real work. The threaded server burns a thread per idle socket;
-  // the event loop pays a map entry — either way, service must continue.
-  std::vector<Socket> idle;
-  idle.reserve(64);
-  for (int i = 0; i < 64; ++i) idle.push_back(RawConnection());
-
-  auto client = ApiClient::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(client.ok()) << client.status();
-  auto stats = client.value()->Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-}
-
-INSTANTIATE_TEST_SUITE_P(Transports, WireTransportTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "EventLoop" : "Threaded";
-                         });
-
-// ---- event-loop-only behaviors ---------------------------------------------
-
 class EventServerTest : public ::testing::Test {
  protected:
   void StartServer(const EventApiServerOptions& options) {
@@ -243,6 +78,136 @@ class EventServerTest : public ::testing::Test {
   std::unique_ptr<GuidanceApi> api_;
   std::unique_ptr<EventApiServer> server_;
 };
+
+/// Protocol abuse against a server with a small frame cap.
+class WireTransportTest : public EventServerTest {
+ protected:
+  void SetUp() override {
+    EventApiServerOptions options;
+    options.max_frame_bytes = kTestMaxFrame;
+    StartServer(options);
+  }
+
+  Socket RawConnection() {
+    auto socket = Socket::ConnectTcp("127.0.0.1", server_->port());
+    EXPECT_TRUE(socket.ok()) << socket.status();
+    return std::move(socket).value();
+  }
+};
+
+TEST_F(WireTransportTest, ServesATypedClientSession) {
+  auto client = ApiClient::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 10);
+  auto created =
+      client.value()->CreateSession(corpus.db, testing::BatchSpec(3, 2));
+  ASSERT_TRUE(created.ok()) << created.status();
+  auto advanced = client.value()->Advance(created.value());
+  ASSERT_TRUE(advanced.ok()) << advanced.status();
+  auto outcome = client.value()->Terminate(created.value());
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+}
+
+TEST_F(WireTransportTest, PipelinedFramesAnswerInOrder) {
+  Socket raw = RawConnection();
+  // Three requests in ONE write: responses must come back one frame each,
+  // in submission order (per-connection FIFO is the ordering contract).
+  std::string burst;
+  for (uint64_t id = 11; id <= 13; ++id) {
+    const std::string payload = StatsFrame(id);
+    burst += FramePrefix(static_cast<uint32_t>(payload.size())) + payload;
+  }
+  ASSERT_TRUE(raw.SendAll(burst.data(), burst.size()).ok());
+  for (uint64_t id = 11; id <= 13; ++id) {
+    const ApiResponse response = MustReadResponse(raw);
+    EXPECT_EQ(response.id, id);
+    EXPECT_FALSE(IsError(response));
+  }
+}
+
+TEST_F(WireTransportTest, DribbledBytesReassembleIntoAFrame) {
+  Socket raw = RawConnection();
+  const std::string payload = StatsFrame(77);
+  const std::string frame =
+      FramePrefix(static_cast<uint32_t>(payload.size())) + payload;
+  // One byte per write: the server sees the worst possible fragmentation —
+  // a length prefix split across reads, then a payload arriving in drips.
+  for (char byte : frame) {
+    ASSERT_TRUE(raw.SendAll(&byte, 1).ok());
+  }
+  const ApiResponse response = MustReadResponse(raw);
+  EXPECT_EQ(response.id, 77u);
+  EXPECT_FALSE(IsError(response));
+}
+
+TEST_F(WireTransportTest, GarbageJsonGetsAnErrorEnvelopeNotAHangup) {
+  Socket raw = RawConnection();
+  ASSERT_TRUE(WriteFrame(raw, "not json at all").ok());
+  const ApiResponse error = MustReadResponse(raw);
+  ASSERT_TRUE(IsError(error));
+  EXPECT_EQ(std::get<ErrorResponse>(error.result).code,
+            StatusCode::kInvalidArgument);
+  // The connection survives and serves the next valid frame.
+  ASSERT_TRUE(WriteFrame(raw, StatsFrame(6)).ok());
+  EXPECT_FALSE(IsError(MustReadResponse(raw)));
+}
+
+TEST_F(WireTransportTest, OversizedFramePrefixClosesTheConnection) {
+  Socket raw = RawConnection();
+  // A prefix claiming max+1 bytes is protocol abuse: the server closes
+  // without a response — never allocates, never answers.
+  const std::string prefix =
+      FramePrefix(static_cast<uint32_t>(kTestMaxFrame) + 1);
+  ASSERT_TRUE(raw.SendAll(prefix.data(), prefix.size()).ok());
+  auto reply = ReadFrame(raw);
+  EXPECT_FALSE(reply.ok());
+
+  // The listener is unaffected: a fresh connection gets served.
+  Socket fresh = RawConnection();
+  ASSERT_TRUE(WriteFrame(fresh, StatsFrame(8)).ok());
+  EXPECT_FALSE(IsError(MustReadResponse(fresh)));
+}
+
+TEST_F(WireTransportTest, TruncatedFrameThenCloseIsReapedCleanly) {
+  const size_t served_before = server_->connections_served();
+  {
+    Socket raw = RawConnection();
+    const std::string lie = FramePrefix(100) + std::string(10, 'x');
+    ASSERT_TRUE(raw.SendAll(lie.data(), lie.size()).ok());
+    // Destructor closes mid-frame.
+  }
+  // The aborted connection is fully reaped (no stuck handler)...
+  server_->WaitForConnections(served_before + 1);
+  // ...and the server still serves.
+  Socket fresh = RawConnection();
+  ASSERT_TRUE(WriteFrame(fresh, StatsFrame(9)).ok());
+  EXPECT_FALSE(IsError(MustReadResponse(fresh)));
+}
+
+TEST_F(WireTransportTest, HalfOpenConnectionStillGetsItsResponse) {
+  Socket raw = RawConnection();
+  ASSERT_TRUE(WriteFrame(raw, StatsFrame(21)).ok());
+  // Close only OUR write side: the peer sees EOF after the frame but must
+  // still deliver the response on the intact other direction.
+  ASSERT_EQ(::shutdown(raw.fd(), SHUT_WR), 0);
+  const ApiResponse response = MustReadResponse(raw);
+  EXPECT_EQ(response.id, 21u);
+  EXPECT_FALSE(IsError(response));
+}
+
+TEST_F(WireTransportTest, ManyIdleConnectionsDoNotStarveService) {
+  // 64 connections that never send a byte, held open while a real client
+  // does real work: each costs the event loop a map entry, not a thread,
+  // and service must continue.
+  std::vector<Socket> idle;
+  idle.reserve(64);
+  for (int i = 0; i < 64; ++i) idle.push_back(RawConnection());
+
+  auto client = ApiClient::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto stats = client.value()->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+}
 
 TEST_F(EventServerTest, IdleConnectionsAreTrackedAndReaped) {
   StartServer({});

@@ -52,12 +52,16 @@ TEST_F(CorrelationOrderTest, NeighborsAscendWithinRoleSegments) {
     size_t i = 0;
     ClaimId prev = 0;
     for (; i < neighbors.size() && neighbors[i].first < c; ++i) {
-      if (i > 0) EXPECT_LT(prev, neighbors[i].first) << "claim " << c;
+      if (i > 0) {
+        EXPECT_LT(prev, neighbors[i].first) << "claim " << c;
+      }
       prev = neighbors[i].first;
     }
     for (size_t j = i; j < neighbors.size(); ++j) {
       EXPECT_GT(neighbors[j].first, c) << "claim " << c;
-      if (j > i) EXPECT_LT(prev, neighbors[j].first) << "claim " << c;
+      if (j > i) {
+        EXPECT_LT(prev, neighbors[j].first) << "claim " << c;
+      }
       prev = neighbors[j].first;
     }
   }

@@ -1,6 +1,6 @@
 // End-to-end tests for the veritas-lint binary: the real tree must be
-// clean, each bad fixture must trip exactly the check it was built for,
-// and the clean fixture must pass both checks at once.
+// clean, the bad fixtures must trip the determinism check, and the clean
+// fixture must pass it.
 //
 // The test shells out to the binary (paths injected by CMake as
 // VERITAS_LINT_BINARY / VERITAS_LINT_FIXTURES / VERITAS_LINT_REPO) and
@@ -53,14 +53,14 @@ TEST(LintTest, RealTreeIsClean) {
 
 TEST(LintTest, FlagsUnannotatedRandomDevice) {
   const RunResult r = RunLint("--repo " + Fixture("unannotated_random") +
-                              " --check determinism --determinism-dir .");
+                              " --determinism-dir .");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("random_device"), std::string::npos) << r.output;
 }
 
 TEST(LintTest, FlagsHashOrderEmissionAndBareClock) {
   const RunResult r = RunLint("--repo " + Fixture("unannotated_random") +
-                              " --check determinism --determinism-dir .");
+                              " --determinism-dir .");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("hash_emit.cc"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("unordered"), std::string::npos) << r.output;
@@ -70,24 +70,9 @@ TEST(LintTest, FlagsHashOrderEmissionAndBareClock) {
   EXPECT_EQ(r.output.find("timed.cc:12"), std::string::npos) << r.output;
 }
 
-TEST(LintTest, FlagsEnumWithoutRejection) {
-  const RunResult r = RunLint("--repo " + Fixture("enum_no_reject") +
-                              " --check wire-compat --codec codec.cc"
-                              " --checkpoint checkpoint.cc --enum-dir .");
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  // ParseColor accepts unknown names silently.
-  EXPECT_NE(r.output.find("ParseColor"), std::string::npos) << r.output;
-  // The "color" key is encoded by name but never decoded through GetEnum.
-  EXPECT_NE(r.output.find("\"color\""), std::string::npos) << r.output;
-  // DecodeThing casts a raw integer to Color without a range check.
-  EXPECT_NE(r.output.find("DecodeThing"), std::string::npos) << r.output;
-}
-
 TEST(LintTest, CleanFixturePasses) {
-  const RunResult r = RunLint(
-      "--repo " + Fixture("clean") +
-      " --codec codec.cc --checkpoint checkpoint.cc"
-      " --determinism-dir det --enum-dir .");
+  const RunResult r =
+      RunLint("--repo " + Fixture("clean") + " --determinism-dir det");
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 

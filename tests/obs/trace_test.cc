@@ -53,9 +53,11 @@ class TraceThroughRouterTest : public ::testing::Test {
 
   /// The fleet-aggregated metrics snapshot via the wire method.
   MetricsSnapshot FleetMetrics() {
-    ApiRequest request;
-    request.params = MetricsRequest{};
-    ApiResponse response = Call(std::move(request));
+    // Built in one expression: assigning MetricsRequest into a default
+    // request trips gcc 12's -Wmaybe-uninitialized at -O2 (a false alarm
+    // about the replaced alternative's strings).
+    ApiResponse response = Call(
+        ApiRequest{kApiVersion, /*id=*/0, /*trace_id=*/"", MetricsRequest{}});
     auto* metrics = std::get_if<MetricsResponse>(&response.result);
     EXPECT_NE(metrics, nullptr);
     return metrics == nullptr ? MetricsSnapshot{} : metrics->snapshot;

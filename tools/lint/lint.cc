@@ -91,14 +91,6 @@ size_t MatchBracket(const std::string& text, size_t open, char lhs, char rhs) {
   return text.size();
 }
 
-bool IsControlKeyword(const std::string& ident) {
-  static const std::set<std::string> kKeywords = {
-      "if",     "for",    "while",  "switch",        "catch",
-      "return", "sizeof", "throw",  "static_assert", "alignof",
-      "new",    "delete", "assert", "defined",       "decltype"};
-  return kKeywords.count(ident) != 0;
-}
-
 }  // namespace
 
 bool SourceFile::Tagged(size_t line, const std::string& tag) const {
@@ -233,61 +225,6 @@ size_t SkipSpaces(const std::string& text, size_t i) {
   }
   return i;
 }
-
-}  // namespace
-
-std::vector<FunctionDef> ParseFunctions(const FlatText& flat) {
-  std::vector<FunctionDef> functions;
-  const std::string& text = flat.text;
-  for (size_t i = 0; i < text.size();) {
-    const char c = text[i];
-    if (c == '"' || c == '\'') {
-      i = SkipLiteral(text, i);
-      continue;
-    }
-    if (!IsIdentStart(c)) {
-      ++i;
-      continue;
-    }
-    size_t end = i;
-    while (end < text.size() && IsIdentChar(text[end])) ++end;
-    const std::string ident = text.substr(i, end - i);
-    size_t j = SkipSpaces(text, end);
-    if (j >= text.size() || text[j] != '(' || IsControlKeyword(ident)) {
-      i = end;
-      continue;
-    }
-    const size_t after_args = MatchBracket(text, j, '(', ')');
-    size_t k = SkipSpaces(text, after_args);
-    // Skip trailing qualifiers of a definition header.
-    for (;;) {
-      bool advanced = false;
-      for (const char* q : {"const", "noexcept", "override"}) {
-        const size_t len = std::string(q).size();
-        if (text.compare(k, len, q) == 0 &&
-            (k + len >= text.size() || !IsIdentChar(text[k + len]))) {
-          k = SkipSpaces(text, k + len);
-          advanced = true;
-        }
-      }
-      if (!advanced) break;
-    }
-    if (k < text.size() && text[k] == '{') {
-      FunctionDef fn;
-      fn.name = ident;
-      fn.line = flat.LineAt(i);
-      fn.body_begin = k + 1;
-      fn.body_end = MatchBracket(text, k, '{', '}') - 1;
-      functions.push_back(fn);
-      i = fn.body_end + 1;
-      continue;
-    }
-    i = end;
-  }
-  return functions;
-}
-
-namespace {
 
 std::string JoinPath(const std::string& root, const std::string& rel) {
   if (!rel.empty() && rel.front() == '/') return rel;
@@ -512,188 +449,8 @@ std::vector<Finding> CheckDeterminism(const Config& config) {
   return findings;
 }
 
-std::vector<Finding> CheckWireCompat(const Config& config) {
-  std::vector<Finding> findings;
-  std::string error;
-
-  // Enum inventory from the headers: names an enum type so casts from raw
-  // integers can be told apart from arithmetic casts.
-  std::set<std::string> enums;
-  for (const std::string& path : SourceFilesUnder(config, config.enum_dirs)) {
-    if (fs::path(path).extension() != ".h") continue;
-    SourceFile file;
-    if (!LoadSource(path, &file, &error)) continue;
-    const FlatText flat = Flatten(file);
-    const std::string& text = flat.text;
-    size_t pos = 0;
-    while ((pos = text.find("enum", pos)) != std::string::npos) {
-      if (!WordAt(flat, pos, "enum")) {
-        pos += 4;
-        continue;
-      }
-      size_t i = SkipSpaces(text, pos + 4);
-      for (const char* kw : {"class", "struct"}) {
-        const size_t len = std::string(kw).size();
-        if (text.compare(i, len, kw) == 0 && !IsIdentChar(text[i + len])) {
-          i = SkipSpaces(text, i + len);
-        }
-      }
-      size_t end = i;
-      while (end < text.size() && IsIdentChar(text[end])) ++end;
-      if (end > i && IsIdentStart(text[i])) {
-        size_t j = SkipSpaces(text, end);
-        if (j < text.size() && text[j] == ':') {
-          // underlying type: scan to '{' or ';'
-          while (j < text.size() && text[j] != '{' && text[j] != ';') ++j;
-        }
-        if (j < text.size() && text[j] == '{') {
-          enums.insert(text.substr(i, end - i));
-        }
-      }
-      pos = end;
-    }
-  }
-
-  struct Target {
-    const std::string* path;
-    bool is_codec;
-  };
-  const Target targets[] = {{&config.codec, true}, {&config.checkpoint, false}};
-  for (const Target& target : targets) {
-    SourceFile file;
-    if (!LoadSource(*target.path, &file, &error)) {
-      findings.push_back({*target.path, 0, "wire-compat", error});
-      continue;
-    }
-    const FlatText flat = Flatten(file);
-    const std::string& text = flat.text;
-    const auto functions = ParseFunctions(flat);
-    const std::string rel = Relative(*target.path, config.repo);
-
-    const auto rejects = [&](const FunctionDef& fn) {
-      const std::string body =
-          text.substr(fn.body_begin, fn.body_end - fn.body_begin);
-      return body.find("InvalidArgument") != std::string::npos ||
-             body.find("OutOfRange") != std::string::npos ||
-             body.find("FailedPrecondition") != std::string::npos;
-    };
-
-    // Rule 1 (codec): every enum parser must reject unknown spellings.
-    if (target.is_codec) {
-      for (const FunctionDef& fn : functions) {
-        if (fn.name.rfind("Parse", 0) != 0 || fn.name == "ParseJson") continue;
-        if (!rejects(fn)) {
-          findings.push_back(
-              {rel, fn.line, "wire-compat",
-               fn.name + " accepts unknown enum spellings; end it with an "
-               "explicit unknown-value rejection (return "
-               "Status::InvalidArgument)"});
-        }
-      }
-
-      // Rule 2 (codec): every enum-valued key written as Key("k")
-      // .String(XxxName(...)) must decode through GetEnum (missing key ->
-      // default, unknown spelling -> rejected by rule 1), unless the site
-      // declares hand-rolled validation with '// lint: enum-checked'.
-      size_t pos = 0;
-      while ((pos = text.find("Key(\"", pos)) != std::string::npos) {
-        const size_t key_start = pos + 5;
-        const size_t key_end = text.find('"', key_start);
-        if (key_end == std::string::npos) break;
-        const std::string key = text.substr(key_start, key_end - key_start);
-        size_t i = SkipSpaces(text, key_end + 1);
-        if (i >= text.size() || text[i] != ')') {
-          pos = key_end;
-          continue;
-        }
-        i = SkipSpaces(text, i + 1);
-        if (text.compare(i, 8, ".String(") != 0) {
-          pos = key_end;
-          continue;
-        }
-        i = SkipSpaces(text, i + 8);
-        size_t ident_end = i;
-        while (ident_end < text.size() && IsIdentChar(text[ident_end]))
-          ++ident_end;
-        const std::string callee = text.substr(i, ident_end - i);
-        pos = key_end;
-        if (callee.size() <= 4 ||
-            callee.compare(callee.size() - 4, 4, "Name") != 0 ||
-            (ident_end < text.size() && text[ident_end] != '(')) {
-          continue;
-        }
-        const bool paired =
-            text.find("\"" + key + "\", Parse") != std::string::npos;
-        const size_t line = flat.LineAt(i);
-        if (!paired && !file.Tagged(line, "enum-checked")) {
-          findings.push_back(
-              {rel, line, "wire-compat",
-               "enum key \"" + key + "\" is encoded via " + callee +
-                   "() but never decoded through GetEnum(...); wire a "
-                   "missing-key-default decode or annotate "
-                   "'// lint: enum-checked'"});
-        }
-      }
-
-      // Rule 3 (codec): the GetEnum helper itself must keep the
-      // missing-key -> default contract.
-      for (const FunctionDef& fn : functions) {
-        if (fn.name != "GetEnum") continue;
-        const std::string body =
-            text.substr(fn.body_begin, fn.body_end - fn.body_begin);
-        if (body.find("nullptr") == std::string::npos ||
-            body.find("OK()") == std::string::npos) {
-          findings.push_back(
-              {rel, fn.line, "wire-compat",
-               "GetEnum lost its missing-key -> default branch (absent key "
-               "must return Status::OK() and leave the default untouched)"});
-        }
-      }
-    }
-
-    // Rule 4 (codec + checkpoint): casting a raw integer to an enum type
-    // requires an out-of-range rejection in the same function.
-    for (const FunctionDef& fn : functions) {
-      size_t pos = fn.body_begin;
-      while (pos < fn.body_end) {
-        pos = text.find("static_cast<", pos);
-        if (pos == std::string::npos || pos >= fn.body_end) break;
-        const size_t type_start = pos + 12;
-        const size_t type_end = text.find('>', type_start);
-        if (type_end == std::string::npos) break;
-        std::string type =
-            Trim(text.substr(type_start, type_end - type_start));
-        const size_t scope = type.rfind("::");
-        if (scope != std::string::npos) type = type.substr(scope + 2);
-        pos = type_end;
-        if (enums.count(type) == 0) continue;
-        const size_t line = flat.LineAt(type_start);
-        if (!rejects(fn) && !file.Tagged(line, "enum-checked")) {
-          findings.push_back(
-              {rel, line, "wire-compat",
-               fn.name + " decodes enum " + type +
-                   " without an out-of-range rejection; validate the raw "
-                   "value before the cast"});
-        }
-      }
-    }
-  }
-  return findings;
-}
-
 std::vector<Finding> Run(const Config& config) {
-  std::vector<Finding> findings;
-  const auto enabled = [&](const char* name) {
-    return config.checks.empty() || config.checks.count(name) != 0;
-  };
-  if (enabled("determinism")) {
-    auto f = CheckDeterminism(config);
-    findings.insert(findings.end(), f.begin(), f.end());
-  }
-  if (enabled("wire-compat")) {
-    auto f = CheckWireCompat(config);
-    findings.insert(findings.end(), f.begin(), f.end());
-  }
+  std::vector<Finding> findings = CheckDeterminism(config);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.file != b.file) return a.file < b.file;

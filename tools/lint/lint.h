@@ -1,26 +1,22 @@
 /// \file
-/// veritas-lint: a repo-invariant static checker (DESIGN.md §15). Two
-/// lexical/structural passes over the tree, no compiler front end:
+/// veritas-lint: a repo-invariant static checker (DESIGN.md §15). One
+/// lexical/structural pass over the tree, no compiler front end:
 ///
 ///   determinism — inference code (src/crf, src/core, src/graph) must not
 ///     read ambient entropy or wall clocks, and must not range-for over
 ///     unordered containers (hash order leaks into FP summation order and
 ///     emitted sequences).
-///   wire-compat — every enum the hand-written codec and checkpoint code
-///     speaks must reject unknown values and default on missing keys (the
-///     checkpoint-v2 postmortem rule), verified by pattern. Fields that go
-///     through the visitor archives (service/fields.h) get these contracts
-///     by construction, and tests/api/serialization_test.cc checks them.
 ///
-/// Field coverage — every serialized member reaching every format — is not
-/// a lint rule: each struct lists its fields once, in service/fields.h, and
-/// the serialization test fails when a member is missing from that list.
+/// Serialization contracts are not lint rules: each serialized struct
+/// lists its fields once, in service/fields.h, whose archives reject
+/// unknown enum values and keep defaults on missing keys by construction;
+/// tests/api/serialization_test.cc and codec_roundtrip_test.cc pin them,
+/// including the hand-written envelope dispatch.
 ///
 /// Annotation grammar (a `// lint: <tag>` comment on the construct's line
 /// or the line above):
 ///   timing          clock read measures latency only, never steers data
 ///   unordered-ok    iteration order provably cannot escape the scope
-///   enum-checked    enum codec site validated by hand (dispatch keys)
 
 #ifndef VERITAS_TOOLS_LINT_LINT_H_
 #define VERITAS_TOOLS_LINT_LINT_H_
@@ -36,7 +32,7 @@ namespace lint {
 struct Finding {
   std::string file;
   size_t line = 0;
-  std::string check;  ///< "determinism" | "wire-compat"
+  std::string check;  ///< "determinism"
   std::string message;
 };
 
@@ -68,33 +64,16 @@ struct FlatText {
 };
 FlatText Flatten(const SourceFile& file);
 
-struct FunctionDef {
-  std::string name;
-  size_t line = 0;
-  size_t body_begin = 0;  ///< offset into FlatText.text, past the '{'
-  size_t body_end = 0;    ///< offset of the matching '}'
-};
-
-/// Extracts free-function definitions (name + brace-matched body span) by
-/// the `ident (args) {` pattern; control-flow keywords are excluded.
-std::vector<FunctionDef> ParseFunctions(const FlatText& flat);
-
 struct Config {
-  std::string repo;        ///< absolute repo root
-  std::string codec;       ///< default src/api/codec.cc
-  std::string checkpoint;  ///< default src/service/checkpoint.cc
+  std::string repo;  ///< absolute repo root
   std::vector<std::string> determinism_dirs;  ///< default crf/core/graph
-  std::vector<std::string> enum_dirs;         ///< enum inventory, default src
   /// Translation units from compile_commands.json; empty = directory walk.
   std::vector<std::string> compile_files;
-  std::set<std::string> checks;  ///< empty = both
-  bool verbose = false;
 };
 
 std::vector<Finding> CheckDeterminism(const Config& config);
-std::vector<Finding> CheckWireCompat(const Config& config);
 
-/// Runs the selected checks and returns the findings sorted by location.
+/// Runs the checks and returns the findings sorted by location.
 std::vector<Finding> Run(const Config& config);
 
 }  // namespace lint

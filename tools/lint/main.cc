@@ -3,12 +3,10 @@
 /// tree is clean, 1 on findings, 2 on usage/configuration errors.
 ///
 ///   veritas-lint --repo <root> [--compile-commands <json>]
-///                [--check determinism|wire-compat]...
-///                [--codec <cc>] [--checkpoint <cc>]
-///                [--determinism-dir <dir>]... [--enum-dir <dir>]...
+///                [--determinism-dir <dir>]...
 ///
 /// Relative paths are resolved against --repo. Fixture trees (tests/lint)
-/// exercise the checks by overriding every path.
+/// exercise the check by overriding the directories.
 
 #include <filesystem>
 #include <fstream>
@@ -31,9 +29,8 @@ std::string Resolve(const std::string& repo, const std::string& path) {
 
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " --repo <root> [--compile-commands <json>] [--check <name>]\n"
-               "  checks: determinism, wire-compat "
-               "(default: all)\n";
+            << " --repo <root> [--compile-commands <json>]"
+               " [--determinism-dir <dir>]...\n";
   return 2;
 }
 
@@ -80,7 +77,6 @@ bool LoadCompileCommands(const std::string& path,
 int main(int argc, char** argv) {
   veritas::lint::Config config;
   std::string compile_commands;
-  bool default_dirs = true;
 
   const auto next = [&](int& i) -> const char* {
     if (i + 1 >= argc) return nullptr;
@@ -93,19 +89,8 @@ int main(int argc, char** argv) {
       config.repo = value;
     } else if (arg == "--compile-commands" && (value = next(i))) {
       compile_commands = value;
-    } else if (arg == "--check" && (value = next(i))) {
-      config.checks.insert(value);
-    } else if (arg == "--codec" && (value = next(i))) {
-      config.codec = value;
-    } else if (arg == "--checkpoint" && (value = next(i))) {
-      config.checkpoint = value;
     } else if (arg == "--determinism-dir" && (value = next(i))) {
       config.determinism_dirs.push_back(value);
-      default_dirs = false;
-    } else if (arg == "--enum-dir" && (value = next(i))) {
-      config.enum_dirs.push_back(value);
-    } else if (arg == "--verbose") {
-      config.verbose = true;
     } else {
       return Usage(argv[0]);
     }
@@ -114,15 +99,10 @@ int main(int argc, char** argv) {
   std::error_code ec;
   config.repo = fs::weakly_canonical(config.repo, ec).string();
 
-  if (config.codec.empty()) config.codec = "src/api/codec.cc";
-  if (config.checkpoint.empty()) config.checkpoint = "src/service/checkpoint.cc";
-  if (default_dirs) {
+  if (config.determinism_dirs.empty()) {
     config.determinism_dirs = {"src/crf", "src/core", "src/graph"};
   }
-  if (config.enum_dirs.empty()) config.enum_dirs = {"src"};
 
-  config.codec = Resolve(config.repo, config.codec);
-  config.checkpoint = Resolve(config.repo, config.checkpoint);
   if (!compile_commands.empty() &&
       !LoadCompileCommands(Resolve(config.repo, compile_commands),
                            &config.compile_files)) {
